@@ -50,7 +50,19 @@ from .mdp import (
     total_variance_norm,
 )
 from .providers import EmulatedProvider, StatevectorProvider
-from .qvi import ALGORITHMS, Qvi4State, QviResult, qvi1, qvi2, qvi3, qvi4, qvi5
+from .qvi import (
+    ALGORITHMS,
+    InfeasibleParams,
+    Qvi4State,
+    QviResult,
+    qvi1,
+    qvi2,
+    qvi3,
+    qvi4,
+    qvi5,
+    solve,
+    vi,
+)
 from .statevector import (
     AEConfig,
     BinaryOracleSpec,

@@ -11,12 +11,11 @@ The environment variable QVI_SEED, when set, overrides --seed everywhere.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .emulation import SubroutineConfig
-from .harness import ExperimentConfig, fit_scaling, read_csv, run_experiment
+from .harness import SWEEP_AXES, ExperimentConfig, fit_scaling, read_csv, run_experiment
 from .instances import (
     HardInstanceSpec,
     HorizonReductionSpec,
@@ -25,9 +24,9 @@ from .instances import (
     random_mdp,
 )
 from .ledger import ORACLES, QueryLedger
-from .mdp import FiniteHorizonMdp, eps_optimality_report, exact_value_iteration
+from .mdp import FiniteHorizonMdp, eps_optimality_report
 from .providers import EmulatedProvider
-from .qvi import ALGORITHMS, QviResult
+from .qvi import ALGORITHMS, InfeasibleParams, solve
 
 _NOISE_CHOICES = {
     "exact": "exact",
@@ -43,7 +42,7 @@ def _seed(args) -> int:
 
 
 def _add_run_flags(parser):
-    parser.add_argument("--algo", required=True, choices=["vi"] + sorted(ALGORITHMS))
+    parser.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
     parser.add_argument("--eps", type=float, nargs="+", default=[0.3])
     parser.add_argument("--delta", type=float, nargs="+", default=[0.1])
     parser.add_argument("--eta", type=float, nargs="+", default=[0.05])
@@ -55,46 +54,25 @@ def _add_run_flags(parser):
 
 def _cmd_solve(args) -> int:
     mdp = FiniteHorizonMdp.load(args.mdp)
-    seed = _seed(args)
     ledger = QueryLedger()
-    if args.algo == "vi":
-        pi, v, q = exact_value_iteration(mdp)
-        payload = {
-            "algorithm": "vi",
-            "policy": pi.actions.tolist(),
-            "V": v.values.tolist(),
-            "Q": q.qvalues.tolist(),
-            "ledger": ledger.as_dict(),
-            "config": {},
-            "seed": seed,
-        }
-        report = eps_optimality_report(mdp, pi, v, q, eps=args.eps[0])
-    else:
-        provider = EmulatedProvider(
-            SubroutineConfig(
-                noise_mode=_NOISE_CHOICES[args.noise],
-                failure_injection=args.inject_failures,
-                rng_seed=seed,
-            )
+    provider = EmulatedProvider(
+        SubroutineConfig(
+            noise_mode=_NOISE_CHOICES[args.noise],
+            failure_injection=args.inject_failures,
+            rng_seed=_seed(args),
         )
-        fn = ALGORITHMS[args.algo]
-        if args.algo == "qvi1":
-            result: QviResult = fn(mdp, args.delta[0], provider, ledger)
-        elif args.algo == "qvi5":
-            result = fn(mdp, args.eps[0], args.delta[0], args.eta[0], provider, ledger,
-                        qms_budget_mode=args.qms_budget)
-        elif args.algo == "qvi4":
-            result = fn(mdp, args.eps[0], args.delta[0], provider, ledger)
-        else:
-            result = fn(mdp, args.eps[0], args.delta[0], provider, ledger,
-                        qms_budget_mode=args.qms_budget)
-        payload = result.to_json()
-        report = eps_optimality_report(
-            mdp, result.policy, result.values, result.qvalues, eps=args.eps[0]
-        )
+    )
+    try:
+        result = solve(args.algo, mdp, provider, ledger, eps=args.eps[0], delta=args.delta[0],
+                       eta=args.eta[0], qms_budget_mode=args.qms_budget)
+    except InfeasibleParams as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    report = eps_optimality_report(
+        mdp, result.policy, result.values, result.qvalues, eps=args.eps[0]
+    )
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh)
+        result.save(args.out)
     print(
         f"{args.algo}: value gap {report.value_gap:.6g}, policy gap "
         f"{report.policy_gap:.6g}, ledger total {ledger.total}"
@@ -208,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit ledger scaling on a results CSV")
     p_fit.add_argument("--results", required=True)
-    p_fit.add_argument("--axis", required=True, choices=["S", "A", "H", "eps", "delta", "eta"])
+    p_fit.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_fit.add_argument("--oracle", default="total", choices=["total"] + list(ORACLES))
     p_fit.set_defaults(fn=_cmd_fit)
     return parser

@@ -178,10 +178,6 @@ def btp_multiplier(eps: float, eta: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rng_for(config: SubroutineConfig, rng: Optional[np.random.Generator]):
-    return rng if rng is not None else np.random.default_rng(config.rng_seed)
-
-
 def _noisy(true_value: float, eps: float, config: SubroutineConfig, rng) -> float:
     if config.noise_mode == "exact":
         return true_value
@@ -196,7 +192,7 @@ def qms_emulated(
     f: Sequence[float],
     delta: float,
     config: SubroutineConfig,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     ledger: Optional[QueryLedger] = None,
     oracle: str = "func_binary",
     cost_per_query: int = 1,
@@ -216,7 +212,6 @@ def qms_emulated(
     n_queries = qms_query_count(values.size, delta, config)
     if ledger is not None:
         ledger.charge(oracle, n_queries * int(cost_per_query), tag=tag)
-    rng = _rng_for(config, rng)
     if config.failure_injection and rng.random() < delta:
         return int(rng.integers(values.size))
     return int(values.argmax())
@@ -228,7 +223,7 @@ def qme1_emulated(
     eps: float,
     delta: float,
     config: SubroutineConfig,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     ledger: Optional[QueryLedger] = None,
     oracle: str = "quantum_generative",
     tag: str = "qme1",
@@ -245,7 +240,6 @@ def qme1_emulated(
     n_queries = qme1_query_count(u, eps, delta, config)
     if ledger is not None:
         ledger.charge(oracle, n_queries, tag=tag)
-    rng = _rng_for(config, rng)
     true_mean = query.exact_mean()
     if config.failure_injection and rng.random() < delta:
         return NoisyEstimate(float(rng.uniform(lo, hi)), n_queries, True, true_mean)
@@ -258,7 +252,7 @@ def qme2_emulated(
     eps: float,
     delta: float,
     config: SubroutineConfig,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     ledger: Optional[QueryLedger] = None,
     oracle: str = "quantum_generative",
     tag: str = "qme2",
@@ -283,7 +277,6 @@ def qme2_emulated(
     n_queries = qme2_query_count(sigma_bound, eps, delta, config)
     if ledger is not None:
         ledger.charge(oracle, n_queries, tag=tag)
-    rng = _rng_for(config, rng)
     true_mean = query.exact_mean()
     lo, hi = query.value_range()
     if config.failure_injection and rng.random() < delta:
@@ -297,7 +290,7 @@ def qmebo_emulated(
     eps: float,
     delta: float,
     config: SubroutineConfig,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     ledger: Optional[QueryLedger] = None,
     oracles: tuple[str, str] = ("dist_binary", "func_binary"),
     tag: str = "qmebo",
@@ -325,7 +318,6 @@ def qmebo_emulated(
         dist_oracle, func_oracle = oracles
         ledger.charge(dist_oracle, n_queries, tag=tag)
         ledger.charge(func_oracle, n_queries, tag=tag)
-    rng = _rng_for(config, rng)
     true_mean = float(probs @ values)
     if config.failure_injection and rng.random() < delta:
         value = float(rng.uniform(values.min(), values.max()))

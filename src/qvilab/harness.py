@@ -9,6 +9,7 @@ plus a JSON sidecar holding the configuration.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -22,9 +23,9 @@ import numpy as np
 from .emulation import SubroutineConfig
 from .instances import random_mdp
 from .ledger import ORACLES, QueryLedger
-from .mdp import FiniteHorizonMdp, Policy, exact_value_iteration, policy_value
+from .mdp import FiniteHorizonMdp, eps_optimality_report
 from .providers import EmulatedProvider
-from .qvi import ALGORITHMS
+from .qvi import ALGORITHMS, InfeasibleParams, solve
 
 SWEEP_AXES = ("S", "A", "H", "eps", "delta", "eta")
 
@@ -72,7 +73,7 @@ class ExperimentConfig:
     qms_budget_mode: str = "per_state"
 
     def __post_init__(self):
-        if self.algorithm not in set(ALGORITHMS) | {"vi"}:
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -164,22 +165,6 @@ def trial_seed(master_seed: int, point_index: int, trial: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _infeasible(config: ExperimentConfig, point: dict, mdp: FiniteHorizonMdp) -> str:
-    algo, eps, eta = config.algorithm, point["eps"], point["eta"]
-    horizon = mdp.horizon
-    if algo == "qvi4" and eps > math.sqrt(horizon):
-        return f"eps={eps} exceeds sqrt(H)={math.sqrt(horizon):.4g}"
-    if algo in ("qvi2", "qvi3", "qvi5") and eps > horizon:
-        return f"eps={eps} exceeds H={horizon}"
-    if algo == "qvi5":
-        positive = mdp.transitions[mdp.transitions > 0]
-        if not 0 < eta < 0.5:
-            return f"eta={eta} outside (0, 1/2)"
-        if positive.size and positive.min() < eta - 1e-12:
-            return f"eta={eta} above the smallest supported probability"
-    return ""
-
-
 def _run_point(config: ExperimentConfig, point_index: int, point: dict,
                fixed_mdp: Optional[FiniteHorizonMdp]) -> list[ResultRow]:
     if fixed_mdp is not None:
@@ -189,9 +174,7 @@ def _run_point(config: ExperimentConfig, point_index: int, point: dict,
             point["S"], point["A"], point["H"], sparsity=config.sparsity,
             seed=mdp_seed(config.master_seed, point["S"], point["A"], point["H"]),
         )
-    reason = _infeasible(config, point, mdp)
     rows = []
-    pi_star, v_star, q_star = exact_value_iteration(mdp)
     for trial in range(config.trials):
         seed = trial_seed(config.master_seed, point_index, trial)
         common = dict(
@@ -199,46 +182,29 @@ def _run_point(config: ExperimentConfig, point_index: int, point: dict,
             S=mdp.num_states, A=mdp.num_actions, H=mdp.horizon,
             eps=point["eps"], delta=point["delta"], eta=point["eta"], seed=seed,
         )
-        if reason:
-            rows.append(ResultRow(**common, status="skipped", skip_reason=reason,
+        started = time.perf_counter()
+        ledger = QueryLedger()
+        provider = EmulatedProvider(SubroutineConfig(
+            noise_mode=config.noise_mode,
+            failure_injection=config.failure_injection,
+            rng_seed=seed,
+        ))
+        try:
+            result = solve(config.algorithm, mdp, provider, ledger, eps=point["eps"],
+                           delta=point["delta"], eta=point["eta"],
+                           qms_budget_mode=config.qms_budget_mode)
+        except InfeasibleParams as exc:
+            rows.append(ResultRow(**common, status="skipped", skip_reason=str(exc),
                                   success=None, v_gap=None, policy_gap=None,
                                   q_gap=None, ledger_counts={}, wall_time=0.0))
             continue
-        started = time.perf_counter()
-        ledger = QueryLedger()
-        if config.algorithm == "vi":
-            v_hat, pi_hat, q_hat = v_star.values, pi_star.actions, q_star.qvalues
-        else:
-            provider = EmulatedProvider(SubroutineConfig(
-                noise_mode=config.noise_mode,
-                failure_injection=config.failure_injection,
-                rng_seed=seed,
-            ))
-            fn = ALGORITHMS[config.algorithm]
-            if config.algorithm == "qvi5":
-                result = fn(mdp, point["eps"], point["delta"], point["eta"], provider,
-                            ledger, qms_budget_mode=config.qms_budget_mode)
-            elif config.algorithm == "qvi1":
-                result = fn(mdp, point["delta"], provider, ledger)
-            elif config.algorithm == "qvi4":
-                result = fn(mdp, point["eps"], point["delta"], provider, ledger)
-            else:
-                result = fn(mdp, point["eps"], point["delta"], provider, ledger,
-                            qms_budget_mode=config.qms_budget_mode)
-            v_hat = result.values.values
-            pi_hat = result.policy.actions
-            q_hat = None if result.qvalues is None else result.qvalues.qvalues
-        v_gap = float(np.abs(v_star.values - v_hat).max())
-        v_pi = policy_value(mdp, Policy(pi_hat)).values
-        policy_gap = float(np.abs(v_star.values - v_pi).max())
-        q_gap = None
-        if q_hat is not None:
-            q_gap = float(np.abs(q_star.qvalues - q_hat).max())
-        tol = 1e-9 if config.algorithm in ("vi", "qvi1") else point["eps"]
-        success = v_gap <= tol and policy_gap <= tol and (q_gap is None or q_gap <= tol)
+        # Algorithms that take no eps promise exact outputs.
+        report = eps_optimality_report(mdp, result.policy, result.values, result.qvalues,
+                                       eps=result.params.get("eps", 1e-9))
         rows.append(ResultRow(**common, status="completed", skip_reason="",
-                              success=success, v_gap=v_gap, policy_gap=policy_gap,
-                              q_gap=q_gap, ledger_counts=ledger.as_dict(),
+                              success=report.all_ok, v_gap=report.value_gap,
+                              policy_gap=report.policy_gap, q_gap=report.q_gap,
+                              ledger_counts=ledger.as_dict(),
                               wall_time=time.perf_counter() - started))
     return rows
 
@@ -272,24 +238,16 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
 
 
 def write_csv(rows: Sequence[ResultRow], path) -> None:
-    lines = [f"# qvilab results schema v{CSV_SCHEMA_VERSION}; wall time omitted for reproducibility"]
-    lines.append(",".join(_CSV_COLUMNS))
-    for row in rows:
-        lines.append(",".join(row.csv_values()))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# qvilab results schema v{CSV_SCHEMA_VERSION}; wall time omitted for reproducibility\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_CSV_COLUMNS)
+        writer.writerows(row.csv_values() for row in rows)
 
 
 def read_csv(path) -> list[dict]:
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if not line.startswith("#")]
-    header = lines[0].split(",")
-    out = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        out.append(dict(zip(header, line.split(","))))
-    return out
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""The five quantum value-iteration algorithms over a subroutine provider.
+"""The planning algorithms over a subroutine provider, in one registry.
 
-All five run backward induction; they differ in how the next-step expectation
-is obtained and billed:
+All run backward induction; they differ in how the next-step expectation is
+obtained and billed:
 
+* ``vi`` - exact value iteration, the classical ground truth.  No queries.
 * ``qvi1`` - exact expectations from the table oracle, quantum maximum search
   over actions.  Exact outputs.
 * ``qvi2`` - binary-oracle mean estimation of the rescaled values, one-sided
@@ -22,9 +23,15 @@ Within a layer the per-(s, a) estimator calls are independent and could run
 concurrently with split random streams; layers and epochs are strictly
 sequential.  This implementation keeps a single stream and loops in a fixed
 order so runs are reproducible.
+
+Each algorithm is described once, by its signature in :data:`ALGORITHMS`;
+:func:`solve` passes it the parameters it names.  Parameters outside an
+algorithm's feasible range raise :class:`InfeasibleParams` before any query
+is charged or any random number is drawn.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import time
@@ -35,7 +42,7 @@ import numpy as np
 
 from .emulation import btp_cost
 from .ledger import QueryLedger
-from .mdp import FiniteHorizonMdp, Policy, QTable, ValueTable
+from .mdp import FiniteHorizonMdp, Policy, QTable, ValueTable, exact_value_iteration
 
 QMS_BUDGET_MODES = ("per_state", "literal")
 
@@ -91,14 +98,18 @@ class Qvi4State:
     g: np.ndarray  # offset estimates of the correction expectation
 
 
+class InfeasibleParams(ValueError):
+    """Accuracy parameters outside the range an algorithm's guarantees cover."""
+
+
 def _validate_delta(delta: float) -> None:
     if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta!r}")
+        raise InfeasibleParams(f"delta must be in (0, 1), got {delta!r}")
 
 
 def _validate_eps(eps: float, hi: float, what: str) -> None:
     if not 0 < eps <= hi:
-        raise ValueError(f"eps must be in (0, {what}], got {eps!r}")
+        raise InfeasibleParams(f"eps must be in (0, {what}={hi:.4g}], got {eps!r}")
 
 
 def _estimator_budget(mdp: FiniteHorizonMdp, delta: float, qms_constant: float) -> float:
@@ -106,7 +117,7 @@ def _estimator_budget(mdp: FiniteHorizonMdp, delta: float, qms_constant: float) 
     n_s, n_a, horizon = mdp.num_states, mdp.num_actions, mdp.horizon
     zeta = delta / (4.0 * qms_constant * n_s * n_a**1.5 * horizon * math.log(1.0 / delta))
     if not 0 < zeta < 1:
-        raise ValueError(
+        raise InfeasibleParams(
             f"estimator failure budget {zeta!r} is not a probability; use a smaller delta"
         )
     return zeta
@@ -134,6 +145,18 @@ def _result(algorithm, pi, v, q, ledger, provider, params, started, trace=None):
         wall_time=time.perf_counter() - started,
         epoch_trace=trace,
     )
+
+
+# ---------------------------------------------------------------------------
+# vi: exact backward induction, the ground truth every algorithm is checked against
+# ---------------------------------------------------------------------------
+
+
+def vi(mdp: FiniteHorizonMdp, provider, ledger: QueryLedger) -> QviResult:
+    """Optimal policy, values and Q tables by exact backward induction; no queries."""
+    started = time.perf_counter()
+    pi, v, q = exact_value_iteration(mdp)
+    return _result("vi", pi.actions, v.values, q.qvalues, ledger, provider, {}, started)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +405,12 @@ def qvi5(
     _validate_eps(eps, mdp.horizon, "H")
     _validate_delta(delta)
     if not 0 < eta < 0.5:
-        raise ValueError(f"eta must be in (0, 1/2), got {eta!r}")
+        raise InfeasibleParams(f"eta must be in (0, 1/2), got {eta!r}")
     positive = mdp.transitions[mdp.transitions > 0]
     if positive.size and positive.min() < eta - 1e-12:
-        raise ValueError(
+        raise InfeasibleParams(
             f"eta={eta!r} is not a lower bound: smallest supported probability is "
-            f"{positive.min()!r}"
+            f"{float(positive.min())!r}"
         )
     n_s, horizon = mdp.num_states, mdp.horizon
     zeta = _estimator_budget(mdp, delta, provider.config.qms_constant)
@@ -590,9 +613,33 @@ def qvi4(
 
 
 ALGORITHMS = {
+    "vi": vi,
     "qvi1": qvi1,
     "qvi2": qvi2,
     "qvi3": qvi3,
     "qvi4": qvi4,
     "qvi5": qvi5,
 }
+
+
+def solve(
+    name: str,
+    mdp: FiniteHorizonMdp,
+    provider,
+    ledger: QueryLedger,
+    *,
+    eps: float,
+    delta: float,
+    eta: float,
+    qms_budget_mode: str = "per_state",
+) -> QviResult:
+    """Run ``ALGORITHMS[name]`` with the parameters its signature names.
+
+    Raises :class:`InfeasibleParams` when the parameters it takes are outside
+    its feasible range.
+    """
+    fn = ALGORITHMS[name]
+    offered = {"eps": eps, "delta": delta, "eta": eta, "qms_budget_mode": qms_budget_mode}
+    taken = inspect.signature(fn).parameters
+    params = {key: value for key, value in offered.items() if key in taken}
+    return fn(mdp, provider=provider, ledger=ledger, **params)

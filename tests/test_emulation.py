@@ -25,6 +25,10 @@ CFG = SubroutineConfig(rng_seed=0)
 EXACT = SubroutineConfig(noise_mode="exact", rng_seed=0)
 
 
+def fresh_rng():
+    return np.random.default_rng(0)
+
+
 def repeats(delta, config=CFG):
     return max(1, math.ceil(config.powering_repeats * math.log(1 / delta)))
 
@@ -36,28 +40,29 @@ def repeats(delta, config=CFG):
 
 def test_qms_singleton_cost_and_index():
     ledger = QueryLedger()
-    idx = qms_emulated([0.5], delta=0.2, config=CFG, ledger=ledger)
+    idx = qms_emulated([0.5], delta=0.2, config=CFG, rng=fresh_rng(), ledger=ledger)
     assert idx == 0
     assert ledger.count("func_binary") == math.ceil(CFG.qms_constant * math.log(1 / 0.2))
 
 
 def test_qms_unique_maximum():
-    assert qms_emulated([1.0, 3.0, 2.0], 0.1, CFG) == 1
+    assert qms_emulated([1.0, 3.0, 2.0], 0.1, CFG, fresh_rng()) == 1
 
 
 def test_qms_tie_breaks_to_smallest_index():
-    assert qms_emulated([2.0, 5.0, 5.0, 1.0], 0.1, CFG) == 1
+    assert qms_emulated([2.0, 5.0, 5.0, 1.0], 0.1, CFG, fresh_rng()) == 1
 
 
 def test_qms_cost_per_query_multiplier():
     ledger = QueryLedger()
-    qms_emulated([1.0, 2.0], 0.1, CFG, ledger=ledger, oracle="quantum_mdp", cost_per_query=7)
+    qms_emulated([1.0, 2.0], 0.1, CFG, fresh_rng(), ledger=ledger, oracle="quantum_mdp",
+                 cost_per_query=7)
     assert ledger.count("quantum_mdp") == 7 * qms_query_count(2, 0.1, CFG)
 
 
 def test_qms_rejects_empty_sequence():
     with pytest.raises(ContractViolation):
-        qms_emulated([], 0.1, CFG)
+        qms_emulated([], 0.1, CFG, fresh_rng())
 
 
 def test_qms_injected_failure_rate():
@@ -80,19 +85,22 @@ def test_qms_injected_failure_rate():
 
 
 def test_qme1_constant_function():
-    est = qme1_emulated(([0.3, 0.7], [0.4, 0.4]), u=1.0, eps=0.05, delta=0.1, config=CFG)
+    est = qme1_emulated(([0.3, 0.7], [0.4, 0.4]), u=1.0, eps=0.05, delta=0.1, config=CFG,
+                        rng=fresh_rng())
     assert abs(est.value - 0.4) <= 0.05
     assert est.true_mean == pytest.approx(0.4)
 
 
 def test_qme1_point_mass():
-    est = qme1_emulated(([0.0, 1.0, 0.0], [0.1, 0.9, 0.5]), u=1.0, eps=0.02, delta=0.1, config=CFG)
+    est = qme1_emulated(([0.0, 1.0, 0.0], [0.1, 0.9, 0.5]), u=1.0, eps=0.02, delta=0.1,
+                        config=CFG, rng=fresh_rng())
     assert abs(est.value - 0.9) <= 0.02
 
 
 def test_qme1_uniform_mean():
     est = qme1_emulated(
-        (np.full(4, 0.25), np.array([0.0, 1.0, 2.0, 3.0])), u=3.0, eps=0.1, delta=0.1, config=CFG
+        (np.full(4, 0.25), np.array([0.0, 1.0, 2.0, 3.0])), u=3.0, eps=0.1, delta=0.1, config=CFG,
+        rng=fresh_rng(),
     )
     assert abs(est.value - 1.5) <= 0.1
     assert est.charged_queries == qme1_query_count(3.0, 0.1, 0.1, CFG)
@@ -100,9 +108,9 @@ def test_qme1_uniform_mean():
 
 def test_qme1_rejects_out_of_range_function():
     with pytest.raises(ContractViolation):
-        qme1_emulated(([1.0], [2.0]), u=1.0, eps=0.1, delta=0.1, config=CFG)
+        qme1_emulated(([1.0], [2.0]), u=1.0, eps=0.1, delta=0.1, config=CFG, rng=fresh_rng())
     with pytest.raises(ContractViolation):
-        qme1_emulated(([1.0], [0.5]), u=1.0, eps=-0.1, delta=0.1, config=CFG)
+        qme1_emulated(([1.0], [0.5]), u=1.0, eps=-0.1, delta=0.1, config=CFG, rng=fresh_rng())
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +121,15 @@ def test_qme1_rejects_out_of_range_function():
 def test_qme2_zero_variance():
     eps = 0.03
     est = qme2_emulated(
-        ([0.5, 0.5], [0.6, 0.6]), sigma_bound=4 * eps / 3, eps=eps, delta=0.1, config=CFG
+        ([0.5, 0.5], [0.6, 0.6]), sigma_bound=4 * eps / 3, eps=eps, delta=0.1, config=CFG,
+        rng=fresh_rng(),
     )
     assert abs(est.value - 0.6) <= eps
 
 
 def test_qme2_bernoulli_half():
     est = qme2_emulated(
-        ([0.5, 0.5], [0.0, 1.0]), sigma_bound=0.5, eps=0.1, delta=0.1, config=CFG
+        ([0.5, 0.5], [0.0, 1.0]), sigma_bound=0.5, eps=0.1, delta=0.1, config=CFG, rng=fresh_rng()
     )
     assert 0.4 <= est.value <= 0.6
 
@@ -128,7 +137,8 @@ def test_qme2_bernoulli_half():
 def test_qme2_contract_error_is_structured():
     with pytest.raises(Qme2ContractError) as err:
         qme2_emulated(
-            ([1.0], [0.5]), sigma_bound=0.1, eps=0.4, delta=0.1, config=CFG, tag="k=1 h=2 s=3 a=0"
+            ([1.0], [0.5]), sigma_bound=0.1, eps=0.4, delta=0.1, config=CFG, rng=fresh_rng(),
+            tag="k=1 h=2 s=3 a=0",
         )
     assert err.value.tag == "k=1 h=2 s=3 a=0"
     assert err.value.eps == 0.4
@@ -137,14 +147,15 @@ def test_qme2_contract_error_is_structured():
 def test_qme2_debug_check_catches_variance_lies():
     config = SubroutineConfig(rng_seed=0, debug_checks=True)
     with pytest.raises(ContractViolation, match="variance"):
-        qme2_emulated(([0.5, 0.5], [0.0, 1.0]), sigma_bound=0.1, eps=0.2, delta=0.1, config=config)
+        qme2_emulated(([0.5, 0.5], [0.0, 1.0]), sigma_bound=0.1, eps=0.2, delta=0.1, config=config,
+                      rng=fresh_rng())
 
 
 def test_qme2_cost_formula_replay_and_doubling():
     # In the log-flat regime (ratio <= e) halving eps doubles cost within one
     # rounding step; outside it the formula itself is the oracle.
     ledger = QueryLedger()
-    qme2_emulated(([1.0], [0.5]), 1.0, 0.8, 0.1, CFG, ledger=ledger)
+    qme2_emulated(([1.0], [0.5]), 1.0, 0.8, 0.1, CFG, fresh_rng(), ledger=ledger)
     at_eps = ledger.count("quantum_generative")
     assert at_eps == qme2_query_count(1.0, 0.8, 0.1, CFG)
     halved = qme2_query_count(1.0, 0.4, 0.1, CFG)
@@ -159,19 +170,20 @@ def test_qme2_cost_formula_replay_and_doubling():
 
 
 def test_qmebo_point_mass():
-    est = qmebo_emulated([1.0, 0.0], [0.7, 0.2], eps=0.05, delta=0.1, config=CFG)
+    est = qmebo_emulated([1.0, 0.0], [0.7, 0.2], eps=0.05, delta=0.1, config=CFG, rng=fresh_rng())
     assert abs(est.value - 0.7) <= 0.05
 
 
 def test_qmebo_uniform_two():
-    est = qmebo_emulated([0.5, 0.5], [0.0, 1.0], eps=0.04, delta=0.1, config=CFG)
+    est = qmebo_emulated([0.5, 0.5], [0.0, 1.0], eps=0.04, delta=0.1, config=CFG, rng=fresh_rng())
     assert abs(est.value - 0.5) <= 0.04
 
 
 def test_qmebo_charges_both_oracles_with_formula_cost():
     ledger = QueryLedger()
     qmebo_emulated(
-        np.full(4, 0.25), [0.1, 0.2, 0.3, 0.4], eps=0.1, delta=0.1, config=CFG, ledger=ledger
+        np.full(4, 0.25), [0.1, 0.2, 0.3, 0.4], eps=0.1, delta=0.1, config=CFG, rng=fresh_rng(),
+        ledger=ledger,
     )
     expected = math.ceil(math.sqrt(4) / 0.1 + math.sqrt(4 / 0.1)) * repeats(0.1)
     assert ledger.count("dist_binary") == expected
@@ -181,7 +193,7 @@ def test_qmebo_charges_both_oracles_with_formula_cost():
 
 def test_qmebo_rejects_function_outside_unit_interval():
     with pytest.raises(ContractViolation):
-        qmebo_emulated([1.0], [1.4], eps=0.1, delta=0.1, config=CFG)
+        qmebo_emulated([1.0], [1.4], eps=0.1, delta=0.1, config=CFG, rng=fresh_rng())
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ import os
 import pytest
 
 from qvilab import (
+    ORACLES,
     ExperimentConfig,
     FiniteHorizonMdp,
     ResultRow,
+    exact_value_iteration,
     fit_scaling,
     random_mdp,
     run_experiment,
@@ -62,6 +64,28 @@ def test_skipped_points_are_accounted():
     skipped = [r for r in rows if r.status == "skipped"]
     assert len(skipped) == 3
     assert all("sqrt(H)" in r.skip_reason for r in skipped)
+
+
+@pytest.mark.parametrize(
+    "delta, reason",
+    [(0.999, "estimator failure budget"), (1.5, "delta must be in (0, 1), got 1.5")],
+)
+def test_infeasible_delta_gives_skipped_rows_not_a_crash(delta, reason):
+    config = small_config(sweep={"S": (2,), "A": (2,), "H": (2,), "delta": (0.1, delta)})
+    rows = run_experiment(config)
+    assert [r.status for r in rows] == ["completed"] * 2 + ["skipped"] * 2
+    assert all(reason in r.skip_reason and r.ledger_counts == {} for r in rows[2:])
+
+
+def test_skip_reason_with_commas_round_trips_through_csv(tmp_path):
+    path = tmp_path / "eta.csv"
+    rows = run_experiment(small_config(
+        algorithm="qvi5", sweep={"S": (4,), "A": (2,), "H": (2,), "eta": (0.6,)},
+        out_path=str(path)))
+    back = read_csv(path)
+    assert [r["skip_reason"] for r in back] == [r.skip_reason for r in rows]
+    assert back[0]["skip_reason"] == "eta must be in (0, 1/2), got 0.6"
+    assert back[0]["success"] == "" and back[0]["q_total"] == "0"
 
 
 def test_trial_seeds_are_distinct_counters():
@@ -221,3 +245,35 @@ def test_cli_env_seed_override(tmp_path, capsys):
     finally:
         del os.environ["QVI_SEED"]
     assert json.loads(open(out_json).read())["seed"] == 123
+
+
+def test_cli_solve_vi_writes_the_result_payload(tmp_path):
+    mdp_path = str(tmp_path / "m.json")
+    random_mdp(4, 3, 3, seed=1).save(mdp_path)
+    out_json = str(tmp_path / "vi.json")
+    assert cli_main(["solve", "--mdp", mdp_path, "--algo", "vi", "--seed", "4",
+                     "--out", out_json]) == 0
+    blob = json.loads(open(out_json).read())
+    pi, v, q = exact_value_iteration(FiniteHorizonMdp.load(mdp_path))
+    assert blob == {
+        "algorithm": "vi",
+        "policy": pi.actions.tolist(),
+        "V": v.values.tolist(),
+        "Q": q.qvalues.tolist(),
+        "ledger": {name: 0 for name in ORACLES},
+        "config": {},
+        "seed": 4,
+    }
+    assert list(blob) == ["algorithm", "policy", "V", "Q", "ledger", "config", "seed"]
+
+
+def test_cli_solve_reports_infeasible_params_as_an_error(tmp_path, capsys):
+    mdp_path = str(tmp_path / "m.json")
+    random_mdp(3, 2, 2, seed=0).save(mdp_path)
+    out_json = tmp_path / "r.json"
+    code = cli_main(["solve", "--mdp", mdp_path, "--algo", "qvi3", "--delta", "1.5",
+                     "--out", str(out_json)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: delta must be in (0, 1), got 1.5\n"
+    assert not out_json.exists()

@@ -1,12 +1,15 @@
 """The five planning algorithms: guarantees, accounting, determinism."""
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from qvilab import (
+    ALGORITHMS,
     EmulatedProvider,
     FiniteHorizonMdp,
+    InfeasibleParams,
     QueryLedger,
     SubroutineConfig,
     exact_value_iteration,
@@ -20,6 +23,7 @@ from qvilab import (
     qvi4,
     qvi5,
     random_mdp,
+    solve,
 )
 from qvilab.emulation import btp_multiplier
 from qvilab.instances import HardInstanceSpec, hard_instance_optimal_start_values, make_hard_instance
@@ -487,3 +491,61 @@ def test_result_values_respect_table_invariants():
     v = result.values.values
     assert np.abs(v[-1]).max() == 0.0
     assert v.min() >= 0.0 and v.max() <= mdp.horizon
+
+
+# ---------------------------------------------------------------------------
+# registry: vi, solve, and the shared feasibility rule
+# ---------------------------------------------------------------------------
+
+FEASIBLE = dict(eps=0.3, delta=0.1, eta=0.05)
+
+
+@pytest.mark.parametrize(
+    "algo, bad, reason",
+    [
+        ("qvi1", dict(delta=1.5), "delta must be in (0, 1)"),
+        ("qvi2", dict(eps=2.5), "eps must be in (0, H=2]"),
+        ("qvi2", dict(delta=0.0), "delta must be in (0, 1)"),
+        ("qvi3", dict(delta=0.999), "estimator failure budget"),
+        ("qvi3", dict(eps=-0.1), "eps must be in"),
+        ("qvi4", dict(eps=1.5), "eps must be in (0, sqrt(H)=1.414]"),
+        ("qvi5", dict(eta=0.6), "eta must be in (0, 1/2)"),
+        ("qvi5", dict(eta=0.45), "not a lower bound"),
+        ("qvi5", dict(delta=0.999, eta=0.01), "estimator failure budget"),
+    ],
+)
+def test_infeasible_params_raise_before_any_charge_or_draw(algo, bad, reason):
+    mdp = random_mdp(2, 2, 2, seed=0)
+    prov, ledger = provider(0), QueryLedger()
+    rng_state = prov.rng.bit_generator.state
+    with pytest.raises(InfeasibleParams) as err:
+        solve(algo, mdp, prov, ledger, **(FEASIBLE | bad))
+    assert reason in str(err.value)
+    assert ledger.total == 0
+    assert prov.rng.bit_generator.state == rng_state
+
+
+def test_vi_is_registered_and_exact():
+    mdp = random_mdp(4, 3, 3, seed=2)
+    ledger = QueryLedger()
+    result = solve("vi", mdp, provider(5), ledger, **FEASIBLE)
+    pi, v, q = exact_value_iteration(mdp)
+    np.testing.assert_array_equal(result.policy.actions, pi.actions)
+    np.testing.assert_array_equal(result.values.values, v.values)
+    np.testing.assert_array_equal(result.qvalues.qvalues, q.qvalues)
+    assert (result.algorithm, result.params, result.seed, ledger.total) == ("vi", {}, 5, 0)
+
+
+def test_solve_binds_through_wrapped_registry_entries(monkeypatch):
+    original = ALGORITHMS["qvi1"]
+
+    @functools.wraps(original)
+    def wrapper(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setitem(ALGORITHMS, "qvi1", wrapper)
+    mdp = random_mdp(3, 2, 3, seed=1)
+    result = solve("qvi1", mdp, provider(0), QueryLedger(), **FEASIBLE)
+    direct = qvi1(mdp, 0.1, provider(0), QueryLedger())
+    np.testing.assert_array_equal(result.values.values, direct.values.values)
+    assert result.params == direct.params
