@@ -7,7 +7,6 @@ closed-form optima, and a sweep harness for scaling studies.
 """
 from .emulation import (
     ContractViolation,
-    MeanQuery,
     NoisyEstimate,
     Qme2ContractError,
     SubroutineConfig,

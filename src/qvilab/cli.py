@@ -26,7 +26,7 @@ from .instances import (
 from .ledger import ORACLES, QueryLedger
 from .mdp import FiniteHorizonMdp, eps_optimality_report
 from .providers import EmulatedProvider
-from .qvi import ALGORITHMS, InfeasibleParams, solve
+from .qvi import ALGORITHMS, QMS_BUDGET_MODES, InfeasibleParams, solve
 
 _NOISE_CHOICES = {
     "exact": "exact",
@@ -49,7 +49,7 @@ def _add_run_flags(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--noise", choices=sorted(_NOISE_CHOICES), default="uniform")
     parser.add_argument("--inject-failures", action="store_true")
-    parser.add_argument("--qms-budget", choices=["per_state", "literal"], default="per_state")
+    parser.add_argument("--qms-budget", choices=QMS_BUDGET_MODES, default="per_state")
 
 
 def _cmd_solve(args) -> int:

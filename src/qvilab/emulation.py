@@ -6,6 +6,11 @@ optionally inject failures at the stated rate.  Because the emulator knows the
 exact answer, the error contract is enforced *by construction*: in faithful
 mode every estimate is within eps of the true mean.
 
+The three mean estimators check their own preconditions and then share one
+tail, :func:`_estimate`, which does the same three steps in a fixed order on
+every call: bill the query count to each oracle, make the failure draw (only
+with failure injection on), then make the noise draw.
+
 Cost formulas use natural logarithms and ceilings, with explicit constants
 (``qms_constant`` for the search subroutine, ``powering_repeats`` per unit of
 log(1/delta) for median boosting); the minimum charge is one query per
@@ -83,40 +88,15 @@ class NoisyEstimate:
     true_mean: float
 
 
-@dataclass(frozen=True)
-class MeanQuery:
-    """A (distribution, function) pair an estimator is asked about."""
-
-    probabilities: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=np.float64).reshape(-1)
-        f = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if p.shape != f.shape:
-            raise ValueError("distribution and function must have the same length")
-        if p.size == 0:
-            raise ValueError("empty mean query")
-        object.__setattr__(self, "probabilities", p)
-        object.__setattr__(self, "values", f)
-
-    def exact_mean(self) -> float:
-        return float(self.probabilities @ self.values)
-
-    def exact_variance(self) -> float:
-        mean = self.exact_mean()
-        second = float(self.probabilities @ (self.values * self.values))
-        return max(second - mean * mean, 0.0)
-
-    def value_range(self) -> tuple[float, float]:
-        return float(self.values.min()), float(self.values.max())
-
-
-def _as_query(mean_query) -> MeanQuery:
-    if isinstance(mean_query, MeanQuery):
-        return mean_query
-    p, f = mean_query
-    return MeanQuery(np.asarray(p), np.asarray(f))
+def _pair(p, f) -> tuple[np.ndarray, np.ndarray]:
+    """The (distribution, function) pair an estimator is asked about, as flat arrays."""
+    p = np.asarray(p, dtype=np.float64).reshape(-1)
+    f = np.asarray(f, dtype=np.float64).reshape(-1)
+    if p.shape != f.shape:
+        raise ContractViolation("distribution and function must have the same length")
+    if p.size == 0:
+        raise ContractViolation("empty mean query")
+    return p, f
 
 
 # ---------------------------------------------------------------------------
@@ -124,17 +104,21 @@ def _as_query(mean_query) -> MeanQuery:
 # ---------------------------------------------------------------------------
 
 
-def _repeats(delta: float, config: SubroutineConfig) -> int:
+def _log_inverse(delta: float) -> float:
+    """ln(1/delta) for a failure budget delta in (0, 1)."""
     if not 0 < delta < 1:
         raise ContractViolation(f"failure budget must be in (0, 1), got {delta!r}")
-    return max(1, math.ceil(config.powering_repeats * math.log(1.0 / delta)))
+    return math.log(1.0 / delta)
+
+
+def _repeats(delta: float, config: SubroutineConfig) -> int:
+    """Median-boost repeats for failure budget delta."""
+    return max(1, math.ceil(config.powering_repeats * _log_inverse(delta)))
 
 
 def qms_query_count(n: int, delta: float, config: SubroutineConfig) -> int:
     """Queries charged by one maximum search over n entries."""
-    if not 0 < delta < 1:
-        raise ContractViolation(f"failure budget must be in (0, 1), got {delta!r}")
-    return max(1, math.ceil(config.qms_constant * math.sqrt(n) * math.log(1.0 / delta)))
+    return max(1, math.ceil(config.qms_constant * math.sqrt(n) * _log_inverse(delta)))
 
 
 def qme1_query_count(u: float, eps: float, delta: float, config: SubroutineConfig) -> int:
@@ -178,14 +162,31 @@ def btp_multiplier(eps: float, eta: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _noisy(true_value: float, eps: float, config: SubroutineConfig, rng) -> float:
-    if config.noise_mode == "exact":
-        return true_value
+def _bill(ledger: Optional[QueryLedger], oracles: Sequence[str], n_queries: int, tag: str):
+    """Charge ``n_queries`` to each of ``oracles`` (nothing without a ledger)."""
+    if ledger is not None:
+        for oracle in oracles:
+            ledger.charge(oracle, n_queries, tag=tag)
+
+
+def _estimate(p, f, n_queries, eps, delta, config, rng, ledger, oracles, tag) -> NoisyEstimate:
+    """The tail of every mean estimator: bill, failure draw, noise draw.
+
+    A failed estimate is uniform over the function's value range; otherwise
+    the exact mean moves within ``eps`` as ``config.noise_mode`` says.
+    """
+    _bill(ledger, oracles, n_queries, tag)
+    true_mean = float(p @ f)
+    if config.failure_injection and rng.random() < delta:
+        return NoisyEstimate(float(rng.uniform(f.min(), f.max())), n_queries, True, true_mean)
+    value = true_mean
     if config.noise_mode == "uniform_interval":
-        return true_value + rng.uniform(-eps, eps)
-    if config.noise_mode == "adversarial_low":
-        return true_value - eps
-    return true_value + eps
+        value = true_mean + rng.uniform(-eps, eps)
+    elif config.noise_mode == "adversarial_low":
+        value = true_mean - eps
+    elif config.noise_mode == "adversarial_high":
+        value = true_mean + eps
+    return NoisyEstimate(value, n_queries, False, true_mean)
 
 
 def qms_emulated(
@@ -229,21 +230,14 @@ def qme1_emulated(
     tag: str = "qme1",
 ) -> NoisyEstimate:
     """Range-bounded mean estimation: values in [0, u], error at most eps."""
-    query = _as_query(mean_query)
-    if eps <= 0:
-        raise ContractViolation("eps must be positive")
-    lo, hi = query.value_range()
+    p, f = _pair(*mean_query)
+    lo, hi = float(f.min()), float(f.max())
     if lo < -1e-12 or hi > u + 1e-12:
         raise ContractViolation(
             f"function values must lie in [0, u={u!r}]; observed range [{lo!r}, {hi!r}] ({tag})"
         )
     n_queries = qme1_query_count(u, eps, delta, config)
-    if ledger is not None:
-        ledger.charge(oracle, n_queries, tag=tag)
-    true_mean = query.exact_mean()
-    if config.failure_injection and rng.random() < delta:
-        return NoisyEstimate(float(rng.uniform(lo, hi)), n_queries, True, true_mean)
-    return NoisyEstimate(_noisy(true_mean, eps, config, rng), n_queries, False, true_mean)
+    return _estimate(p, f, n_queries, eps, delta, config, rng, ledger, (oracle,), tag)
 
 
 def qme2_emulated(
@@ -263,25 +257,18 @@ def qme2_emulated(
     :class:`Qme2ContractError` so the caller can widen eps or fall back to the
     range-bounded estimator.
     """
-    query = _as_query(mean_query)
-    if eps <= 0:
-        raise ContractViolation("eps must be positive")
+    p, f = _pair(*mean_query)
     if not eps < 4.0 * sigma_bound:
         raise Qme2ContractError(eps, sigma_bound, tag)
     if config.debug_checks:
-        var = query.exact_variance()
+        mean = float(p @ f)
+        var = max(float(p @ (f * f)) - mean * mean, 0.0)
         if var > sigma_bound**2 + 1e-9:
             raise ContractViolation(
                 f"variance {var!r} exceeds declared bound {sigma_bound**2!r} ({tag})"
             )
     n_queries = qme2_query_count(sigma_bound, eps, delta, config)
-    if ledger is not None:
-        ledger.charge(oracle, n_queries, tag=tag)
-    true_mean = query.exact_mean()
-    lo, hi = query.value_range()
-    if config.failure_injection and rng.random() < delta:
-        return NoisyEstimate(float(rng.uniform(lo, hi)), n_queries, True, true_mean)
-    return NoisyEstimate(_noisy(true_mean, eps, config, rng), n_queries, False, true_mean)
+    return _estimate(p, f, n_queries, eps, delta, config, rng, ledger, (oracle,), tag)
 
 
 def qmebo_emulated(
@@ -302,27 +289,14 @@ def qmebo_emulated(
     """
     from .mdp import as_probability_vector  # local import avoids a cycle
 
-    probs = as_probability_vector(p)
-    values = np.asarray(f, dtype=np.float64).reshape(-1)
-    if values.shape != probs.shape:
-        raise ContractViolation("distribution and function must have the same length")
+    probs, values = _pair(as_probability_vector(p), f)
     if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
         raise ContractViolation(
             f"function values must lie in [0, 1]; observed range "
             f"[{values.min()!r}, {values.max()!r}] ({tag})"
         )
-    if eps <= 0:
-        raise ContractViolation("eps must be positive")
     n_queries = qmebo_query_count(values.size, eps, delta, config)
-    if ledger is not None:
-        dist_oracle, func_oracle = oracles
-        ledger.charge(dist_oracle, n_queries, tag=tag)
-        ledger.charge(func_oracle, n_queries, tag=tag)
-    true_mean = float(probs @ values)
-    if config.failure_injection and rng.random() < delta:
-        value = float(rng.uniform(values.min(), values.max()))
-        return NoisyEstimate(value, n_queries, True, true_mean)
-    return NoisyEstimate(_noisy(true_mean, eps, config, rng), n_queries, False, true_mean)
+    return _estimate(probs, values, n_queries, eps, delta, config, rng, ledger, oracles, tag)
 
 
 def btp_cost(

@@ -20,12 +20,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .emulation import SubroutineConfig
+from .emulation import NOISE_MODES, SubroutineConfig
 from .instances import random_mdp
 from .ledger import ORACLES, QueryLedger
 from .mdp import FiniteHorizonMdp, eps_optimality_report
 from .providers import EmulatedProvider
-from .qvi import ALGORITHMS, InfeasibleParams, solve
+from .qvi import ALGORITHMS, QMS_BUDGET_MODES, InfeasibleParams, solve
 
 SWEEP_AXES = ("S", "A", "H", "eps", "delta", "eta")
 
@@ -77,6 +77,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.noise_mode not in NOISE_MODES:
+            raise ValueError(f"noise_mode must be one of {NOISE_MODES}")
+        if self.qms_budget_mode not in QMS_BUDGET_MODES:
+            raise ValueError(f"qms_budget_mode must be one of {QMS_BUDGET_MODES}")
         axes = {}
         for name in SWEEP_AXES:
             values = tuple(self.sweep.get(name, _AXIS_DEFAULTS[name]))

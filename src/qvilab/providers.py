@@ -158,10 +158,7 @@ class StatevectorProvider(EmulatedProvider):
             t_rule=self.t_rule,
         )
         charged = 2 * run.grover_powers * run.repeats
-        if ledger is not None:
-            dist_oracle, func_oracle = oracles
-            ledger.charge(dist_oracle, charged, tag=tag)
-            ledger.charge(func_oracle, charged, tag=tag)
+        em._bill(ledger, oracles, charged, tag)
         return em.NoisyEstimate(
             value=run.estimate,
             charged_queries=charged,
@@ -171,6 +168,4 @@ class StatevectorProvider(EmulatedProvider):
 
     def qmebo_call_cost(self, n: int, eps: float, delta: float) -> int:
         padded = 2 ** max(1, math.ceil(math.log2(n)))
-        t = ae_repetitions(padded, eps, self.t_rule)
-        repeats = max(1, math.ceil(self.config.powering_repeats * math.log(1.0 / delta)))
-        return 2 * t * repeats
+        return 2 * ae_repetitions(padded, eps, self.t_rule) * em._repeats(delta, self.config)

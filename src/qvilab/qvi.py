@@ -197,32 +197,37 @@ def qvi1(mdp: FiniteHorizonMdp, delta: float, provider, ledger: QueryLedger) -> 
 def _offset_recursion(
     algorithm: str,
     mdp: FiniteHorizonMdp,
-    delta: float,
+    rows: np.ndarray,
+    estimate,
+    zeta_qms: float,
     provider,
     ledger: QueryLedger,
-    qms_budget_mode: str,
-    estimate_row,
     per_call_cost: int,
     oracle: str,
     extra_oracles: tuple = (),
     started: float = 0.0,
     params: Optional[dict] = None,
+    value_scale: int = 1,
 ):
     """Backward induction with one-sided offset estimates and searched argmax.
 
-    ``estimate_row(h, s, v_next)`` returns the offset estimates z for every
-    action; the searched row is max(r + z, 0).  Each search probe is billed
-    ``per_call_cost`` base-oracle queries to ``oracle`` (and to each oracle in
-    ``extra_oracles``).
+    ``estimate(rows[h, s, a], v_next, tag)`` returns the offset estimate z of
+    one action's next-step expectation, given the next-step values divided by
+    ``value_scale`` (divided once per layer); the searched row is
+    max(r + z, 0), searched with failure budget ``zeta_qms``.  Each search
+    probe is billed ``per_call_cost`` base-oracle queries to ``oracle`` (and
+    to each oracle in ``extra_oracles``).
     """
     n_s, n_a, horizon = mdp.num_states, mdp.num_actions, mdp.horizon
-    zeta_qms = _qms_budget(mdp, delta, qms_budget_mode)
     probes = provider.qms_call_cost(n_a, zeta_qms)
     v = np.zeros((horizon + 1, n_s))
     pi = np.zeros((n_s, horizon), dtype=np.int64)
+    z = np.empty(n_a)
     for h in range(horizon - 1, -1, -1):
+        v_next = v[h + 1] / value_scale
         for s in range(n_s):
-            z = estimate_row(h, s, v[h + 1])
+            for a in range(n_a):
+                z[a] = estimate(rows[h, s, a], v_next, f"{algorithm} h={h} s={s} a={a}")
             q_row = np.maximum(mdp.rewards[h, s] + z, 0.0)
             a_star = provider.qms(
                 q_row,
@@ -237,6 +242,12 @@ def _offset_recursion(
             pi[s, h] = a_star
             v[h, s] = min(q_row[a_star], float(horizon))  # keep values in [0, H]
     return _result(algorithm, pi, v, None, ledger, provider, params or {}, started)
+
+
+def _offset_params(provider, eps, delta, qms_budget_mode, **extra) -> dict:
+    """Run parameters of qvi2/qvi3/qvi5, algorithm-specific ones after eps and delta."""
+    return {"eps": eps, "delta": delta, **extra, "qms_budget_mode": qms_budget_mode,
+            "noise_mode": provider.config.noise_mode}
 
 
 def qvi2(
@@ -258,44 +269,28 @@ def qvi2(
     _validate_delta(delta)
     horizon = mdp.horizon
     zeta = _estimator_budget(mdp, delta, provider.config.qms_constant)
+    zeta_qms = _qms_budget(mdp, delta, qms_budget_mode)
     eps_call = eps / (2.0 * horizon**2)
     offset = eps / (2.0 * horizon)
     per_call = provider.qmebo_call_cost(mdp.num_states, eps_call, zeta)
 
-    def estimate_row(h, s, v_next):
-        scaled = v_next / horizon
-        z = np.empty(mdp.num_actions)
-        for a in range(mdp.num_actions):
-            est = provider.mean_binary(
-                mdp.transitions[h, s, a],
-                scaled,
-                eps_call,
-                zeta,
-                ledger=None,
-                tag=f"qvi2 h={h} s={s} a={a}",
-            )
-            z[a] = horizon * est.value - offset
-        return z
+    def estimate(p, scaled, tag):
+        return horizon * provider.mean_binary(p, scaled, eps_call, zeta, tag=tag).value - offset
 
-    params = {
-        "eps": eps,
-        "delta": delta,
-        "qms_budget_mode": qms_budget_mode,
-        "noise_mode": provider.config.noise_mode,
-    }
     return _offset_recursion(
         "qvi2",
         mdp,
-        delta,
+        mdp.transitions,
+        estimate,
+        zeta_qms,
         provider,
         ledger,
-        qms_budget_mode,
-        estimate_row,
         per_call,
         oracle="quantum_mdp",
         extra_oracles=("func_binary",),
         started=started,
-        params=params,
+        params=_offset_params(provider, eps, delta, qms_budget_mode),
+        value_scale=horizon,
     )
 
 
@@ -313,42 +308,26 @@ def qvi3(
     _validate_delta(delta)
     horizon = mdp.horizon
     zeta = _estimator_budget(mdp, delta, provider.config.qms_constant)
+    zeta_qms = _qms_budget(mdp, delta, qms_budget_mode)
     eps_call = eps / (2.0 * horizon)
     per_call = provider.qme1_call_cost(float(horizon), eps_call, zeta)
 
-    def estimate_row(h, s, v_next):
-        z = np.empty(mdp.num_actions)
-        for a in range(mdp.num_actions):
-            est = provider.mean_bounded(
-                mdp.transitions[h, s, a],
-                v_next,
-                float(horizon),
-                eps_call,
-                zeta,
-                ledger=None,
-                tag=f"qvi3 h={h} s={s} a={a}",
-            )
-            z[a] = est.value - eps_call
-        return z
+    def estimate(p, v_next, tag):
+        est = provider.mean_bounded(p, v_next, float(horizon), eps_call, zeta, tag=tag)
+        return est.value - eps_call
 
-    params = {
-        "eps": eps,
-        "delta": delta,
-        "qms_budget_mode": qms_budget_mode,
-        "noise_mode": provider.config.noise_mode,
-    }
     return _offset_recursion(
         "qvi3",
         mdp,
-        delta,
+        mdp.transitions,
+        estimate,
+        zeta_qms,
         provider,
         ledger,
-        qms_budget_mode,
-        estimate_row,
         per_call,
         oracle="quantum_generative",
         started=started,
-        params=params,
+        params=_offset_params(provider, eps, delta, qms_budget_mode),
     )
 
 
@@ -414,6 +393,7 @@ def qvi5(
         )
     n_s, horizon = mdp.num_states, mdp.horizon
     zeta = _estimator_budget(mdp, delta, provider.config.qms_constant)
+    zeta_qms = _qms_budget(mdp, delta, qms_budget_mode)
     eps_call = eps / (4.0 * horizon)
     offset = eps / (2.0 * horizon)
     conversion_eps = eps / (4.0 * n_s * horizon**2)
@@ -421,41 +401,24 @@ def qvi5(
     per_call = provider.qme1_call_cost(float(horizon), eps_call, zeta) * multiplier
     perturbed = perturbed_transitions(mdp, conversion_eps, provider.rng, perturb_scale)
 
-    def estimate_row(h, s, v_next):
-        z = np.empty(mdp.num_actions)
-        for a in range(mdp.num_actions):
-            est = provider.mean_bounded(
-                perturbed[h, s, a],
-                v_next,
-                float(horizon),
-                eps_call,
-                zeta,
-                ledger=None,
-                tag=f"qvi5 h={h} s={s} a={a}",
-            )
-            z[a] = est.value - offset
-        return z
+    def estimate(p, v_next, tag):
+        est = provider.mean_bounded(p, v_next, float(horizon), eps_call, zeta, tag=tag)
+        return est.value - offset
 
-    params = {
-        "eps": eps,
-        "delta": delta,
-        "eta": eta,
-        "perturb_scale": perturb_scale,
-        "qms_budget_mode": qms_budget_mode,
-        "noise_mode": provider.config.noise_mode,
-    }
     return _offset_recursion(
         "qvi5",
         mdp,
-        delta,
+        perturbed,
+        estimate,
+        zeta_qms,
         provider,
         ledger,
-        qms_budget_mode,
-        estimate_row,
         per_call,
         oracle="quantum_mdp",
         started=started,
-        params=params,
+        params=_offset_params(
+            provider, eps, delta, qms_budget_mode, eta=eta, perturb_scale=perturb_scale
+        ),
     )
 
 

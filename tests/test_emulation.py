@@ -227,33 +227,64 @@ def test_btp_rejects_bad_eta():
 # ---------------------------------------------------------------------------
 
 
-def test_faithful_error_contract_all_modes():
+# Each mean estimator on a (p, f) pair with f in [0, 1], which meets every
+# estimator's preconditions (sigma_bound = 1/2 bounds the deviation of any such f).
+ESTIMATORS = {
+    "qme1": lambda p, f, eps, delta, config, rng: qme1_emulated(
+        (p, f), 1.0, eps, delta, config, rng=rng
+    ),
+    "qme2": lambda p, f, eps, delta, config, rng: qme2_emulated(
+        (p, f), 0.5, eps, delta, config, rng=rng
+    ),
+    "qmebo": lambda p, f, eps, delta, config, rng: qmebo_emulated(
+        p, f, eps, delta, config, rng=rng
+    ),
+}
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_faithful_error_contract_all_modes(estimator):
     rng_master = np.random.default_rng(5)
     for mode in ("exact", "uniform_interval", "adversarial_low", "adversarial_high"):
-        config = SubroutineConfig(noise_mode=mode, rng_seed=11)
+        config = SubroutineConfig(noise_mode=mode, rng_seed=11, debug_checks=True)
         rng = np.random.default_rng(11)
         for _ in range(200):
             n = int(rng_master.integers(2, 6))
             p = rng_master.dirichlet(np.ones(n))
             f = rng_master.random(n)
             eps = float(rng_master.uniform(0.01, 0.5))
-            est = qme1_emulated((p, f), 1.0, eps, 0.1, config, rng=rng)
+            est = ESTIMATORS[estimator](p, f, eps, 0.1, config, rng)
             assert abs(est.value - est.true_mean) <= eps + 1e-15
             assert not est.failed
 
 
-def test_injected_failure_rate_contract():
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_injected_failure_rate_contract(estimator):
     delta = 0.2
     config = SubroutineConfig(failure_injection=True, rng_seed=3)
     rng = np.random.default_rng(3)
     n = 2000
     failures = 0
     for _ in range(n):
-        est = qme1_emulated(([0.4, 0.6], [0.2, 0.8]), 1.0, 0.05, delta, config, rng=rng)
+        est = ESTIMATORS[estimator]([0.4, 0.6], [0.2, 0.8], 0.05, delta, config, rng)
         failures += est.failed
         if est.failed:  # a failed answer still lands in the value range
             assert 0.2 <= est.value <= 0.8
-    assert failures / n <= delta + 3 * math.sqrt(delta * (1 - delta) / n)
+    assert 0 < failures / n <= delta + 3 * math.sqrt(delta * (1 - delta) / n)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize(
+    "p, f, error, message",
+    [
+        ([0.5, 0.5], [0.1, 0.2, 0.3], ContractViolation, "same length"),
+        ([], [], ValueError, "empty mean query|at least one outcome"),
+    ],
+    ids=["mismatched", "empty"],
+)
+def test_estimators_reject_bad_pairs(estimator, p, f, error, message):
+    with pytest.raises(error, match=message):
+        ESTIMATORS[estimator](p, f, 0.1, 0.1, CFG, fresh_rng())
 
 
 def test_cost_monotonicity():

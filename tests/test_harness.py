@@ -193,6 +193,12 @@ def test_config_validation():
         ExperimentConfig(algorithm="vi", sweep={"S": ()})
 
 
+@pytest.mark.parametrize("field", ["noise_mode", "qms_budget_mode"])
+def test_config_rejects_unknown_modes(field):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(algorithm="qvi3", **{field: "bogus"})
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

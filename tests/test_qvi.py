@@ -7,6 +7,7 @@ import pytest
 
 from qvilab import (
     ALGORITHMS,
+    ContractViolation,
     EmulatedProvider,
     FiniteHorizonMdp,
     InfeasibleParams,
@@ -460,6 +461,18 @@ def test_qvi2_runs_on_statevector_provider():
     assert ledger.count("quantum_mdp") == 2 * 2 * probes * per_call
 
 
+def test_statevector_provider_shares_the_median_boost_rule():
+    from qvilab import StatevectorProvider
+
+    prov = StatevectorProvider(SubroutineConfig(rng_seed=1))
+    with pytest.raises(ContractViolation, match="failure budget"):
+        prov.qmebo_call_cost(2, 0.1, 1.5)
+    ledger = QueryLedger(track_calls=True)
+    est = prov.mean_binary([0.25, 0.75], [0.5, 1.0], 0.1, 0.1, ledger, tag="sv")
+    assert ledger.calls == [("dist_binary", est.charged_queries, "sv"),
+                            ("func_binary", est.charged_queries, "sv")]
+
+
 def test_results_are_deterministic_and_exportable(tmp_path):
     mdp = random_mdp(4, 3, 4, seed=10)
 
@@ -521,6 +534,17 @@ def test_infeasible_params_raise_before_any_charge_or_draw(algo, bad, reason):
     with pytest.raises(InfeasibleParams) as err:
         solve(algo, mdp, prov, ledger, **(FEASIBLE | bad))
     assert reason in str(err.value)
+    assert ledger.total == 0
+    assert prov.rng.bit_generator.state == rng_state
+
+
+@pytest.mark.parametrize("algo", ["qvi2", "qvi3", "qvi5"])
+def test_bad_qms_budget_mode_raises_before_any_charge_or_draw(algo):
+    mdp = random_mdp(2, 2, 2, seed=0)
+    prov, ledger = provider(0), QueryLedger()
+    rng_state = prov.rng.bit_generator.state
+    with pytest.raises(ValueError, match="qms_budget_mode"):
+        solve(algo, mdp, prov, ledger, **(FEASIBLE | dict(eta=0.01)), qms_budget_mode="bogus")
     assert ledger.total == 0
     assert prov.rng.bit_generator.state == rng_state
 
