@@ -52,7 +52,7 @@ from .providers import EmulatedProvider, StatevectorProvider
 from .qvi import (
     ALGORITHMS,
     InfeasibleParams,
-    Qvi4State,
+    LayerRecord,
     QviResult,
     qvi1,
     qvi2,

@@ -136,7 +136,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_fit(args) -> int:
     rows = read_csv(args.results)
-    fit = fit_scaling(rows, args.axis, oracle=args.oracle)
+    try:
+        fit = fit_scaling(rows, args.axis, oracle=args.oracle)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     lo, hi = fit.ci95
     print(
         f"{args.axis} slope ({fit.oracle}): {fit.slope:.4f} "

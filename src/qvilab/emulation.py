@@ -36,13 +36,12 @@ class ContractViolation(ValueError):
 class Qme2ContractError(ContractViolation):
     """eps >= 4 * sigma_bound: widen eps or fall back to the range-bounded estimator."""
 
-    def __init__(self, eps: float, sigma_bound: float, tag: str = ""):
+    def __init__(self, eps: float, sigma_bound: float):
         self.eps = eps
         self.sigma_bound = sigma_bound
-        self.tag = tag
         super().__init__(
             f"variance-bounded mean estimation requires eps < 4*sigma_bound "
-            f"(eps={eps!r}, sigma_bound={sigma_bound!r}, tag={tag!r})"
+            f"(eps={eps!r}, sigma_bound={sigma_bound!r})"
         )
 
 
@@ -162,20 +161,20 @@ def btp_multiplier(eps: float, eta: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bill(ledger: Optional[QueryLedger], oracles: Sequence[str], n_queries: int, tag: str):
+def _bill(ledger: Optional[QueryLedger], oracles: Sequence[str], n_queries: int):
     """Charge ``n_queries`` to each of ``oracles`` (nothing without a ledger)."""
     if ledger is not None:
         for oracle in oracles:
-            ledger.charge(oracle, n_queries, tag=tag)
+            ledger.charge(oracle, n_queries)
 
 
-def _estimate(p, f, n_queries, eps, delta, config, rng, ledger, oracles, tag) -> NoisyEstimate:
+def _estimate(p, f, n_queries, eps, delta, config, rng, ledger, oracles) -> NoisyEstimate:
     """The tail of every mean estimator: bill, failure draw, noise draw.
 
     A failed estimate is uniform over the function's value range; otherwise
     the exact mean moves within ``eps`` as ``config.noise_mode`` says.
     """
-    _bill(ledger, oracles, n_queries, tag)
+    _bill(ledger, oracles, n_queries)
     true_mean = float(p @ f)
     if config.failure_injection and rng.random() < delta:
         return NoisyEstimate(float(rng.uniform(f.min(), f.max())), n_queries, True, true_mean)
@@ -197,7 +196,6 @@ def qms_emulated(
     ledger: Optional[QueryLedger] = None,
     oracle: str = "func_binary",
     cost_per_query: int = 1,
-    tag: str = "qms",
 ) -> int:
     """Emulated maximum search: index of the largest entry of ``f``.
 
@@ -212,7 +210,7 @@ def qms_emulated(
         raise ContractViolation("cannot search an empty sequence")
     n_queries = qms_query_count(values.size, delta, config)
     if ledger is not None:
-        ledger.charge(oracle, n_queries * int(cost_per_query), tag=tag)
+        ledger.charge(oracle, n_queries * int(cost_per_query))
     if config.failure_injection and rng.random() < delta:
         return int(rng.integers(values.size))
     return int(values.argmax())
@@ -227,17 +225,16 @@ def qme1_emulated(
     rng: np.random.Generator,
     ledger: Optional[QueryLedger] = None,
     oracle: str = "quantum_generative",
-    tag: str = "qme1",
 ) -> NoisyEstimate:
     """Range-bounded mean estimation: values in [0, u], error at most eps."""
     p, f = _pair(*mean_query)
     lo, hi = float(f.min()), float(f.max())
     if lo < -1e-12 or hi > u + 1e-12:
         raise ContractViolation(
-            f"function values must lie in [0, u={u!r}]; observed range [{lo!r}, {hi!r}] ({tag})"
+            f"function values must lie in [0, u={u!r}]; observed range [{lo!r}, {hi!r}]"
         )
     n_queries = qme1_query_count(u, eps, delta, config)
-    return _estimate(p, f, n_queries, eps, delta, config, rng, ledger, (oracle,), tag)
+    return _estimate(p, f, n_queries, eps, delta, config, rng, ledger, (oracle,))
 
 
 def qme2_emulated(
@@ -249,7 +246,6 @@ def qme2_emulated(
     rng: np.random.Generator,
     ledger: Optional[QueryLedger] = None,
     oracle: str = "quantum_generative",
-    tag: str = "qme2",
 ) -> NoisyEstimate:
     """Variance-bounded mean estimation: Var(f) <= sigma_bound^2, error <= eps.
 
@@ -259,16 +255,16 @@ def qme2_emulated(
     """
     p, f = _pair(*mean_query)
     if not eps < 4.0 * sigma_bound:
-        raise Qme2ContractError(eps, sigma_bound, tag)
+        raise Qme2ContractError(eps, sigma_bound)
     if config.debug_checks:
         mean = float(p @ f)
         var = max(float(p @ (f * f)) - mean * mean, 0.0)
         if var > sigma_bound**2 + 1e-9:
             raise ContractViolation(
-                f"variance {var!r} exceeds declared bound {sigma_bound**2!r} ({tag})"
+                f"variance {var!r} exceeds declared bound {sigma_bound**2!r}"
             )
     n_queries = qme2_query_count(sigma_bound, eps, delta, config)
-    return _estimate(p, f, n_queries, eps, delta, config, rng, ledger, (oracle,), tag)
+    return _estimate(p, f, n_queries, eps, delta, config, rng, ledger, (oracle,))
 
 
 def qmebo_emulated(
@@ -280,7 +276,6 @@ def qmebo_emulated(
     rng: np.random.Generator,
     ledger: Optional[QueryLedger] = None,
     oracles: tuple[str, str] = ("dist_binary", "func_binary"),
-    tag: str = "qmebo",
 ) -> NoisyEstimate:
     """Mean estimation from two binary oracles; f in [0, 1]^N, error <= eps.
 
@@ -293,20 +288,13 @@ def qmebo_emulated(
     if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
         raise ContractViolation(
             f"function values must lie in [0, 1]; observed range "
-            f"[{values.min()!r}, {values.max()!r}] ({tag})"
+            f"[{values.min()!r}, {values.max()!r}]"
         )
     n_queries = qmebo_query_count(values.size, eps, delta, config)
-    return _estimate(probs, values, n_queries, eps, delta, config, rng, ledger, oracles, tag)
+    return _estimate(probs, values, n_queries, eps, delta, config, rng, ledger, oracles)
 
 
-def btp_cost(
-    num_states: int,
-    horizon: int,
-    eps: float,
-    eta: float,
-    ledger: Optional[QueryLedger] = None,
-    tag: str = "btp",
-) -> int:
+def btp_cost(eps: float, eta: float, ledger: Optional[QueryLedger] = None) -> int:
     """Account one binary-to-probability oracle conversion.
 
     Returns the per-use multiplier: every subsequent query to the converted
@@ -316,9 +304,5 @@ def btp_cost(
     """
     multiplier = btp_multiplier(eps, eta)
     if ledger is not None:
-        ledger.charge(
-            "oracle_conversion",
-            1,
-            tag=f"{tag} S={num_states} H={horizon} eps={eps!r} eta={eta!r}",
-        )
+        ledger.charge("oracle_conversion", 1)
     return multiplier

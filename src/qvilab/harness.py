@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -116,7 +116,7 @@ _AXIS_DEFAULTS = {"S": (5,), "A": (3,), "H": (4,), "eps": (0.3,), "delta": (0.1,
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One (point, trial) outcome; ``wall_time`` stays out of the CSV."""
+    """One (point, trial) outcome."""
 
     point_index: int
     trial: int
@@ -135,7 +135,6 @@ class ResultRow:
     policy_gap: Optional[float]
     q_gap: Optional[float]
     ledger_counts: dict
-    wall_time: float
 
     def csv_values(self) -> list[str]:
         def fmt(x):
@@ -169,15 +168,19 @@ def trial_seed(master_seed: int, point_index: int, trial: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
+@functools.lru_cache(maxsize=1)
+def _instance(s: int, a: int, h: int, sparsity: float, master_seed: int) -> FiniteHorizonMdp:
+    """The generated instance of one (S, A, H); consecutive points of a size
+    share it (its arrays are read-only)."""
+    return random_mdp(s, a, h, sparsity=sparsity, seed=mdp_seed(master_seed, s, a, h))
+
+
 def _run_point(config: ExperimentConfig, point_index: int, point: dict,
                fixed_mdp: Optional[FiniteHorizonMdp]) -> list[ResultRow]:
     if fixed_mdp is not None:
         mdp = fixed_mdp
     else:
-        mdp = random_mdp(
-            point["S"], point["A"], point["H"], sparsity=config.sparsity,
-            seed=mdp_seed(config.master_seed, point["S"], point["A"], point["H"]),
-        )
+        mdp = _instance(point["S"], point["A"], point["H"], config.sparsity, config.master_seed)
     rows = []
     for trial in range(config.trials):
         seed = trial_seed(config.master_seed, point_index, trial)
@@ -186,7 +189,6 @@ def _run_point(config: ExperimentConfig, point_index: int, point: dict,
             S=mdp.num_states, A=mdp.num_actions, H=mdp.horizon,
             eps=point["eps"], delta=point["delta"], eta=point["eta"], seed=seed,
         )
-        started = time.perf_counter()
         ledger = QueryLedger()
         provider = EmulatedProvider(SubroutineConfig(
             noise_mode=config.noise_mode,
@@ -200,7 +202,7 @@ def _run_point(config: ExperimentConfig, point_index: int, point: dict,
         except InfeasibleParams as exc:
             rows.append(ResultRow(**common, status="skipped", skip_reason=str(exc),
                                   success=None, v_gap=None, policy_gap=None,
-                                  q_gap=None, ledger_counts={}, wall_time=0.0))
+                                  q_gap=None, ledger_counts={}))
             continue
         # Algorithms that take no eps promise exact outputs.
         report = eps_optimality_report(mdp, result.policy, result.values, result.qvalues,
@@ -208,8 +210,7 @@ def _run_point(config: ExperimentConfig, point_index: int, point: dict,
         rows.append(ResultRow(**common, status="completed", skip_reason="",
                               success=report.all_ok, v_gap=report.value_gap,
                               policy_gap=report.policy_gap, q_gap=report.q_gap,
-                              ledger_counts=ledger.as_dict(),
-                              wall_time=time.perf_counter() - started))
+                              ledger_counts=ledger.as_dict()))
     return rows
 
 

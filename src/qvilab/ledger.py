@@ -29,28 +29,24 @@ ORACLES = (
 
 
 class QueryLedger:
-    """Per-run oracle counters with an optional call log.
+    """Per-run oracle counters.
 
     Not thread-safe by design: each concurrent run must own its ledger and
     fan results back in through :meth:`merge`.
     """
 
-    __slots__ = ("counts", "calls", "_track")
+    __slots__ = ("counts",)
 
-    def __init__(self, track_calls: bool = False):
+    def __init__(self):
         self.counts = {name: 0 for name in ORACLES}
-        self.calls: list[tuple[str, int, str]] = []
-        self._track = bool(track_calls)
 
-    def charge(self, oracle: str, cost: int, tag: str = "") -> None:
+    def charge(self, oracle: str, cost: int) -> None:
         if oracle not in self.counts:
             raise KeyError(f"unknown oracle {oracle!r}; expected one of {ORACLES}")
         cost = int(cost)
         if cost < 0:
             raise ValueError("ledger charges must be nonnegative")
         self.counts[oracle] += cost
-        if self._track:
-            self.calls.append((oracle, cost, tag))
 
     @property
     def total(self) -> int:
@@ -62,8 +58,6 @@ class QueryLedger:
     def merge(self, other: "QueryLedger") -> "QueryLedger":
         for name, value in other.counts.items():
             self.counts[name] += value
-        if self._track:
-            self.calls.extend(other.calls)
         return self
 
     def as_dict(self) -> dict:
@@ -71,13 +65,6 @@ class QueryLedger:
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True)
-
-    def call_log_csv(self) -> str:
-        lines = ["oracle,cost,tag"]
-        for oracle, cost, tag in self.calls:
-            safe = tag.replace('"', "'")
-            lines.append(f'{oracle},{cost},"{safe}"')
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def merged(cls, ledgers: Iterable["QueryLedger"]) -> "QueryLedger":

@@ -392,5 +392,5 @@ def classical_generative_sample(mdp, h, s, a, rng, ledger=None) -> int:
     nxt = int(np.searchsorted(cum, rng.random(), side="right"))
     nxt = min(nxt, mdp.num_states - 1)
     if ledger is not None:
-        ledger.charge("classical_generative", 1, tag=f"sample h={h} s={s} a={a}")
+        ledger.charge("classical_generative", 1)
     return nxt

@@ -7,7 +7,7 @@ binary-oracle mean estimation for the exact statevector pipeline and is only
 meant for tiny instances.
 
 Providers own a single random stream seeded from their config, so a fixed
-(config, call sequence) pair reproduces estimates, ledgers, and logs bit for
+(config, call sequence) pair reproduces estimates and ledgers bit for
 bit.  Concurrent runs must use separate providers with split seeds.
 """
 from __future__ import annotations
@@ -40,11 +40,8 @@ class EmulatedProvider:
         ledger: Optional[QueryLedger] = None,
         oracle: str = "func_binary",
         cost_per_query: int = 1,
-        tag: str = "qms",
     ) -> int:
-        return em.qms_emulated(
-            values, delta, self.config, self.rng, ledger, oracle, cost_per_query, tag
-        )
+        return em.qms_emulated(values, delta, self.config, self.rng, ledger, oracle, cost_per_query)
 
     # -- mean estimation ------------------------------------------------------
 
@@ -57,10 +54,9 @@ class EmulatedProvider:
         delta: float,
         ledger: Optional[QueryLedger] = None,
         oracle: str = "quantum_generative",
-        tag: str = "qme1",
     ) -> em.NoisyEstimate:
         return em.qme1_emulated(
-            (probabilities, values), u, eps, delta, self.config, self.rng, ledger, oracle, tag
+            (probabilities, values), u, eps, delta, self.config, self.rng, ledger, oracle
         )
 
     def mean_with_variance_bound(
@@ -72,18 +68,9 @@ class EmulatedProvider:
         delta: float,
         ledger: Optional[QueryLedger] = None,
         oracle: str = "quantum_generative",
-        tag: str = "qme2",
     ) -> em.NoisyEstimate:
         return em.qme2_emulated(
-            (probabilities, values),
-            sigma_bound,
-            eps,
-            delta,
-            self.config,
-            self.rng,
-            ledger,
-            oracle,
-            tag,
+            (probabilities, values), sigma_bound, eps, delta, self.config, self.rng, ledger, oracle
         )
 
     def mean_binary(
@@ -94,10 +81,9 @@ class EmulatedProvider:
         delta: float,
         ledger: Optional[QueryLedger] = None,
         oracles: tuple[str, str] = ("dist_binary", "func_binary"),
-        tag: str = "qmebo",
     ) -> em.NoisyEstimate:
         return em.qmebo_emulated(
-            probabilities, values, eps, delta, self.config, self.rng, ledger, oracles, tag
+            probabilities, values, eps, delta, self.config, self.rng, ledger, oracles
         )
 
     # -- cost formulas (for algorithms that nest oracles) --------------------
@@ -144,7 +130,6 @@ class StatevectorProvider(EmulatedProvider):
         delta: float,
         ledger: Optional[QueryLedger] = None,
         oracles: tuple[str, str] = ("dist_binary", "func_binary"),
-        tag: str = "qmebo",
     ) -> em.NoisyEstimate:
         run = qmebo_exact(
             probabilities,
@@ -158,7 +143,7 @@ class StatevectorProvider(EmulatedProvider):
             t_rule=self.t_rule,
         )
         charged = 2 * run.grover_powers * run.repeats
-        em._bill(ledger, oracles, charged, tag)
+        em._bill(ledger, oracles, charged)
         return em.NoisyEstimate(
             value=run.estimate,
             charged_queries=charged,

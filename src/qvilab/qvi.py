@@ -24,6 +24,11 @@ concurrently with split random streams; layers and epochs are strictly
 sequential.  This implementation keeps a single stream and loops in a fixed
 order so runs are reproducible.
 
+Every run keeps one trace: a :class:`LayerRecord` per backward step (per
+epoch and step for ``qvi4``) with the step's wall time, its ledger delta per
+oracle, the estimates and searches that failed under failure injection, and
+the value row it produced.  ``vi`` makes no steps and has an empty trace.
+
 Each algorithm is described once, by its signature in :data:`ALGORITHMS`;
 :func:`solve` passes it the parameters it names.  Parameters outside an
 algorithm's feasible range raise :class:`InfeasibleParams` before any query
@@ -48,8 +53,45 @@ QMS_BUDGET_MODES = ("per_state", "literal")
 
 
 @dataclass(frozen=True)
+class LayerRecord:
+    """One backward step of a run: where its time, queries and failures went.
+
+    ``queries`` is the step's ledger delta per oracle and ``values`` the V[h]
+    row the step produced; ``epoch`` is 0 except in qvi4.  A search counts as
+    failed when the action it returned scores below the searched row's
+    maximum.
+    """
+
+    epoch: int
+    h: int
+    seconds: float
+    queries: dict
+    failed_estimates: int
+    failed_searches: int
+    values: np.ndarray
+
+
+class _Trace:
+    """Builds a run's layer records from its ledger and the clock."""
+
+    def __init__(self, ledger: QueryLedger):
+        self.ledger = ledger
+        self.records: list[LayerRecord] = []
+
+    def open(self) -> None:
+        self.started, self.before = time.perf_counter(), self.ledger.as_dict()
+
+    def close(self, epoch, h, failed_estimates, failed_searches, values) -> None:
+        queries = {name: n - self.before[name] for name, n in self.ledger.counts.items()}
+        self.records.append(LayerRecord(
+            epoch, h, time.perf_counter() - self.started, queries,
+            failed_estimates, failed_searches, values.copy(),
+        ))
+
+
+@dataclass(frozen=True)
 class QviResult:
-    """Outputs of one planning run plus its query ledger and run metadata."""
+    """Outputs of one planning run plus its query ledger, metadata and trace."""
 
     algorithm: str
     policy: Policy
@@ -58,8 +100,7 @@ class QviResult:
     ledger: QueryLedger
     seed: int
     params: dict
-    wall_time: float
-    epoch_trace: Optional[list] = None
+    trace: tuple = ()
 
     def to_json(self) -> dict:
         return {
@@ -75,27 +116,6 @@ class QviResult:
     def save(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_json(), fh)
-
-
-@dataclass
-class Qvi4State:
-    """Per-epoch working state of the variance-reduced algorithm."""
-
-    epoch: int
-    eps_k: float
-    zeta: float
-    c: float
-    b: float
-    v: np.ndarray  # V_{k, .} after the monotone update, shape (H+1, S)
-    v_start: np.ndarray  # epoch-start reference values, shape (H+1, S)
-    v_raw: np.ndarray  # greedy values before the monotone update
-    q: np.ndarray  # estimate-based Q tables, shape (H, S, A)
-    policy: np.ndarray  # shape (S, H)
-    policy_start: np.ndarray
-    policy_raw: np.ndarray
-    y: np.ndarray  # clipped variance estimates, shape (H, S, A)
-    x: np.ndarray  # offset estimates of the reference expectation
-    g: np.ndarray  # offset estimates of the correction expectation
 
 
 class InfeasibleParams(ValueError):
@@ -133,7 +153,12 @@ def _qms_budget(mdp: FiniteHorizonMdp, delta: float, mode: str) -> float:
     return delta / (mdp.num_states * mdp.horizon)
 
 
-def _result(algorithm, pi, v, q, ledger, provider, params, started, trace=None):
+def _failed_searches(rows: np.ndarray, picked: np.ndarray) -> int:
+    """How many searches picked a value below their searched row's maximum."""
+    return int(np.count_nonzero(picked < rows.max(axis=1)))
+
+
+def _result(algorithm, pi, v, q, ledger, provider, params, trace=None):
     return QviResult(
         algorithm=algorithm,
         policy=Policy(pi),
@@ -142,8 +167,7 @@ def _result(algorithm, pi, v, q, ledger, provider, params, started, trace=None):
         ledger=ledger,
         seed=provider.config.rng_seed,
         params=params,
-        wall_time=time.perf_counter() - started,
-        epoch_trace=trace,
+        trace=() if trace is None else tuple(trace.records),
     )
 
 
@@ -154,9 +178,8 @@ def _result(algorithm, pi, v, q, ledger, provider, params, started, trace=None):
 
 def vi(mdp: FiniteHorizonMdp, provider, ledger: QueryLedger) -> QviResult:
     """Optimal policy, values and Q tables by exact backward induction; no queries."""
-    started = time.perf_counter()
     pi, v, q = exact_value_iteration(mdp)
-    return _result("vi", pi.actions, v.values, q.qvalues, ledger, provider, {}, started)
+    return _result("vi", pi.actions, v.values, q.qvalues, ledger, provider, {})
 
 
 # ---------------------------------------------------------------------------
@@ -166,27 +189,22 @@ def vi(mdp: FiniteHorizonMdp, provider, ledger: QueryLedger) -> QviResult:
 
 def qvi1(mdp: FiniteHorizonMdp, delta: float, provider, ledger: QueryLedger) -> QviResult:
     """Optimal policy and values; each search probe costs S table-oracle queries."""
-    started = time.perf_counter()
     _validate_delta(delta)
     n_s, horizon = mdp.num_states, mdp.horizon
     zeta = delta / (n_s * horizon)
     v = np.zeros((horizon + 1, n_s))
     pi = np.zeros((n_s, horizon), dtype=np.int64)
+    trace = _Trace(ledger)
     for h in range(horizon - 1, -1, -1):
+        trace.open()
         q = mdp.rewards[h] + mdp.transitions[h] @ v[h + 1]
         for s in range(n_s):
-            a_star = provider.qms(
-                q[s],
-                zeta,
-                ledger,
-                oracle="quantum_mdp",
-                cost_per_query=n_s,
-                tag=f"qvi1 h={h} s={s}",
-            )
+            a_star = provider.qms(q[s], zeta, ledger, oracle="quantum_mdp", cost_per_query=n_s)
             pi[s, h] = a_star
             v[h, s] = q[s, a_star]
+        trace.close(0, h, 0, _failed_searches(q, v[h]), v[h])
     params = {"delta": delta, "noise_mode": provider.config.noise_mode}
-    return _result("qvi1", pi, v, None, ledger, provider, params, started)
+    return _result("qvi1", pi, v, None, ledger, provider, params, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +217,22 @@ def _offset_recursion(
     mdp: FiniteHorizonMdp,
     rows: np.ndarray,
     estimate,
+    offset: float,
     zeta_qms: float,
     provider,
     ledger: QueryLedger,
     per_call_cost: int,
     oracle: str,
     extra_oracles: tuple = (),
-    started: float = 0.0,
     params: Optional[dict] = None,
     value_scale: int = 1,
 ):
     """Backward induction with one-sided offset estimates and searched argmax.
 
-    ``estimate(rows[h, s, a], v_next, tag)`` returns the offset estimate z of
+    ``estimate(rows[h, s, a], v_next)`` returns the :class:`NoisyEstimate` of
     one action's next-step expectation, given the next-step values divided by
-    ``value_scale`` (divided once per layer); the searched row is
+    ``value_scale`` (divided once per layer).  Its offset estimate is
+    z = value_scale * estimate - offset, and the searched row is
     max(r + z, 0), searched with failure budget ``zeta_qms``.  Each search
     probe is billed ``per_call_cost`` base-oracle queries to ``oracle`` (and
     to each oracle in ``extra_oracles``).
@@ -223,25 +242,30 @@ def _offset_recursion(
     v = np.zeros((horizon + 1, n_s))
     pi = np.zeros((n_s, horizon), dtype=np.int64)
     z = np.empty(n_a)
+    q_rows = np.empty((n_s, n_a))  # the layer's searched rows
+    picked = np.empty(n_s)  # the searched value each search returned
+    trace = _Trace(ledger)
     for h in range(horizon - 1, -1, -1):
+        trace.open()
         v_next = v[h + 1] / value_scale
+        failed_estimates = 0
         for s in range(n_s):
             for a in range(n_a):
-                z[a] = estimate(rows[h, s, a], v_next, f"{algorithm} h={h} s={s} a={a}")
-            q_row = np.maximum(mdp.rewards[h, s] + z, 0.0)
+                est = estimate(rows[h, s, a], v_next)
+                failed_estimates += est.failed
+                z[a] = value_scale * est.value - offset
+            q_row = q_rows[s]
+            q_row[:] = np.maximum(mdp.rewards[h, s] + z, 0.0)
             a_star = provider.qms(
-                q_row,
-                zeta_qms,
-                ledger,
-                oracle=oracle,
-                cost_per_query=per_call_cost,
-                tag=f"{algorithm} h={h} s={s}",
+                q_row, zeta_qms, ledger, oracle=oracle, cost_per_query=per_call_cost
             )
             for name in extra_oracles:
-                ledger.charge(name, probes * per_call_cost, tag=f"{algorithm} h={h} s={s}")
+                ledger.charge(name, probes * per_call_cost)
             pi[s, h] = a_star
-            v[h, s] = min(q_row[a_star], float(horizon))  # keep values in [0, H]
-    return _result(algorithm, pi, v, None, ledger, provider, params or {}, started)
+            picked[s] = q_row[a_star]
+            v[h, s] = min(picked[s], float(horizon))  # keep values in [0, H]
+        trace.close(0, h, failed_estimates, _failed_searches(q_rows, picked), v[h])
+    return _result(algorithm, pi, v, None, ledger, provider, params or {}, trace)
 
 
 def _offset_params(provider, eps, delta, qms_budget_mode, **extra) -> dict:
@@ -264,31 +288,25 @@ def qvi2(
     eps/(2H^2) on the rescaled mean and the scaled-back estimate is shifted
     down by eps/(2H) so it never exceeds the true expectation.
     """
-    started = time.perf_counter()
     _validate_eps(eps, mdp.horizon, "H")
     _validate_delta(delta)
     horizon = mdp.horizon
     zeta = _estimator_budget(mdp, delta, provider.config.qms_constant)
     zeta_qms = _qms_budget(mdp, delta, qms_budget_mode)
     eps_call = eps / (2.0 * horizon**2)
-    offset = eps / (2.0 * horizon)
     per_call = provider.qmebo_call_cost(mdp.num_states, eps_call, zeta)
-
-    def estimate(p, scaled, tag):
-        return horizon * provider.mean_binary(p, scaled, eps_call, zeta, tag=tag).value - offset
-
     return _offset_recursion(
         "qvi2",
         mdp,
         mdp.transitions,
-        estimate,
+        lambda p, scaled: provider.mean_binary(p, scaled, eps_call, zeta),
+        eps / (2.0 * horizon),
         zeta_qms,
         provider,
         ledger,
         per_call,
         oracle="quantum_mdp",
         extra_oracles=("func_binary",),
-        started=started,
         params=_offset_params(provider, eps, delta, qms_budget_mode),
         value_scale=horizon,
     )
@@ -303,7 +321,6 @@ def qvi3(
     qms_budget_mode: str = "per_state",
 ) -> QviResult:
     """Near-optimal policy/values from the generative model."""
-    started = time.perf_counter()
     _validate_eps(eps, mdp.horizon, "H")
     _validate_delta(delta)
     horizon = mdp.horizon
@@ -311,22 +328,17 @@ def qvi3(
     zeta_qms = _qms_budget(mdp, delta, qms_budget_mode)
     eps_call = eps / (2.0 * horizon)
     per_call = provider.qme1_call_cost(float(horizon), eps_call, zeta)
-
-    def estimate(p, v_next, tag):
-        est = provider.mean_bounded(p, v_next, float(horizon), eps_call, zeta, tag=tag)
-        return est.value - eps_call
-
     return _offset_recursion(
         "qvi3",
         mdp,
         mdp.transitions,
-        estimate,
+        lambda p, v_next: provider.mean_bounded(p, v_next, float(horizon), eps_call, zeta),
+        eps_call,
         zeta_qms,
         provider,
         ledger,
         per_call,
         oracle="quantum_generative",
-        started=started,
         params=_offset_params(provider, eps, delta, qms_budget_mode),
     )
 
@@ -380,7 +392,6 @@ def qvi5(
     realizes this with an explicit perturbed table and bills every converted
     oracle query ``btp`` multiplier times.
     """
-    started = time.perf_counter()
     _validate_eps(eps, mdp.horizon, "H")
     _validate_delta(delta)
     if not 0 < eta < 0.5:
@@ -395,27 +406,21 @@ def qvi5(
     zeta = _estimator_budget(mdp, delta, provider.config.qms_constant)
     zeta_qms = _qms_budget(mdp, delta, qms_budget_mode)
     eps_call = eps / (4.0 * horizon)
-    offset = eps / (2.0 * horizon)
     conversion_eps = eps / (4.0 * n_s * horizon**2)
-    multiplier = btp_cost(n_s, horizon, conversion_eps, eta, ledger, tag="qvi5")
+    multiplier = btp_cost(conversion_eps, eta, ledger)
     per_call = provider.qme1_call_cost(float(horizon), eps_call, zeta) * multiplier
     perturbed = perturbed_transitions(mdp, conversion_eps, provider.rng, perturb_scale)
-
-    def estimate(p, v_next, tag):
-        est = provider.mean_bounded(p, v_next, float(horizon), eps_call, zeta, tag=tag)
-        return est.value - offset
-
     return _offset_recursion(
         "qvi5",
         mdp,
         perturbed,
-        estimate,
+        lambda p, v_next: provider.mean_bounded(p, v_next, float(horizon), eps_call, zeta),
+        eps / (2.0 * horizon),
         zeta_qms,
         provider,
         ledger,
         per_call,
         oracle="quantum_mdp",
-        started=started,
         params=_offset_params(
             provider, eps, delta, qms_budget_mode, eta=eta, perturb_scale=perturb_scale
         ),
@@ -426,6 +431,10 @@ def qvi5(
 # qvi4: variance reduction + variance-scaled error targets
 # ---------------------------------------------------------------------------
 
+# The error-target scale c and the variance-proxy error b of qvi4.
+QVI4_C = 0.001
+QVI4_B = 1.0
+
 
 def qvi4(
     mdp: FiniteHorizonMdp,
@@ -433,127 +442,65 @@ def qvi4(
     delta: float,
     provider,
     ledger: QueryLedger,
-    c: float = 0.001,
-    b: float = 1.0,
-    keep_trace: bool = False,
 ) -> QviResult:
     """Near-optimal policy, values, and Q tables via the epoch scheme.
 
     Runs K = ceil(log2(H/eps)) + 1 epochs with error targets halving each
-    epoch.  Per epoch: clipped variance estimates (two range-bounded mean
-    estimations), reference-expectation estimates at a variance-scaled error
-    (the estimated deviation doubles as the variance bound, so the bound/error
-    ratio is a constant), correction estimates inside the backward sweep, and
-    a monotone update that never lets values regress below the epoch-start
-    reference.
+    epoch.  Per epoch, one backward sweep; step h estimates, for each (s, a),
+    a clipped variance (two range-bounded mean estimations), the reference
+    expectation at a variance-scaled error (the estimated deviation doubles
+    as the variance bound, so the bound/error ratio is a constant) and the
+    correction expectation, then makes a monotone update that never lets
+    values regress below the epoch-start reference.  The reference terms
+    depend only on the epoch-start values, so each step can make them.
     """
-    started = time.perf_counter()
     _validate_eps(eps, math.sqrt(mdp.horizon), "sqrt(H)")
     _validate_delta(delta)
+    c, b = QVI4_C, QVI4_B
     n_s, n_a, horizon = mdp.num_states, mdp.num_actions, mdp.horizon
     epochs = math.ceil(math.log2(horizon / eps)) + 1
     zeta = delta / (4.0 * epochs * horizon * n_s * n_a)
     idx = np.arange(n_s)
 
-    v_start = np.zeros((horizon + 1, n_s))
-    pi_start = np.zeros((n_s, horizon), dtype=np.int64)
-    trace: list[Qvi4State] = []
-    v = v_start
-    pi = pi_start
+    v = np.zeros((horizon + 1, n_s))
+    pi = np.zeros((n_s, horizon), dtype=np.int64)
     q = np.zeros((horizon, n_s, n_a))
+    x = np.empty((n_s, n_a))  # offset estimates of the reference expectation
+    g = np.empty((n_s, n_a))  # offset estimates of the correction expectation
+    trace = _Trace(ledger)
     for k in range(epochs):
         eps_k = horizon / 2.0**k
-        y = np.empty((horizon, n_s, n_a))
-        x = np.empty((horizon, n_s, n_a))
-        g = np.empty((horizon, n_s, n_a))
-        v_raw = np.zeros((horizon + 1, n_s))
-        pi_raw = np.zeros((n_s, horizon), dtype=np.int64)
-        # Estimate the reference expectations for every (s, a, h) up front;
-        # only the correction term is computed inside the backward sweep.
-        for h in range(horizon):
-            ref = v_start[h + 1]
-            ref_sq = ref * ref
-            for s in range(n_s):
-                for a in range(n_a):
-                    tag = f"qvi4 k={k} h={h} s={s} a={a}"
-                    second = provider.mean_bounded(
-                        mdp.transitions[h, s, a],
-                        ref_sq,
-                        float(horizon) ** 2,
-                        b,
-                        zeta,
-                        ledger,
-                        tag=tag + " y2",
-                    )
-                    first = provider.mean_bounded(
-                        mdp.transitions[h, s, a],
-                        ref,
-                        float(horizon),
-                        b / horizon,
-                        zeta,
-                        ledger,
-                        tag=tag + " y1",
-                    )
-                    y[h, s, a] = max(second.value - first.value**2, 0.0)
-                    spread = math.sqrt(y[h, s, a] + 4.0 * b)
-                    err = c * eps / horizon**1.5 * spread
-                    ref_est = provider.mean_with_variance_bound(
-                        mdp.transitions[h, s, a],
-                        ref,
-                        spread,
-                        err,
-                        zeta,
-                        ledger,
-                        tag=tag + " x",
-                    )
-                    x[h, s, a] = ref_est.value - err
+        err_g = c * eps_k / horizon
+        v_start, pi_start = v, pi
         v = np.zeros((horizon + 1, n_s))
         pi = np.zeros((n_s, horizon), dtype=np.int64)
         for h in range(horizon - 1, -1, -1):
-            correction = v[h + 1] - v_start[h + 1]
-            err_g = c * eps_k / horizon
+            trace.open()
+            ref = v_start[h + 1]
+            ref_sq = ref * ref
+            correction = v[h + 1] - ref
+            failed_estimates = 0
             for s in range(n_s):
                 for a in range(n_a):
-                    est = provider.mean_bounded(
-                        mdp.transitions[h, s, a],
-                        correction,
-                        2.0 * eps_k,
-                        err_g,
-                        zeta,
-                        ledger,
-                        tag=f"qvi4 k={k} h={h} s={s} a={a} g",
+                    p = mdp.transitions[h, s, a]
+                    second = provider.mean_bounded(p, ref_sq, float(horizon) ** 2, b, zeta, ledger)
+                    first = provider.mean_bounded(p, ref, float(horizon), b / horizon, zeta, ledger)
+                    spread = math.sqrt(max(second.value - first.value**2, 0.0) + 4.0 * b)
+                    err = c * eps / horizon**1.5 * spread
+                    ref_est = provider.mean_with_variance_bound(p, ref, spread, err, zeta, ledger)
+                    corr_est = provider.mean_bounded(p, correction, 2.0 * eps_k, err_g, zeta, ledger)
+                    x[s, a] = ref_est.value - err
+                    g[s, a] = corr_est.value - err_g
+                    failed_estimates += (
+                        second.failed + first.failed + ref_est.failed + corr_est.failed
                     )
-                    g[h, s, a] = est.value - err_g
-            q[h] = np.maximum(mdp.rewards[h] + x[h] + g[h], 0.0)
+            q[h] = np.maximum(mdp.rewards[h] + x + g, 0.0)
             greedy = q[h].argmax(axis=1)
             greedy_v = np.minimum(q[h][idx, greedy], float(horizon))
-            v_raw[h] = greedy_v
-            pi_raw[:, h] = greedy
             keep = greedy_v <= v_start[h]
             v[h] = np.where(keep, v_start[h], greedy_v)
             pi[:, h] = np.where(keep, pi_start[:, h], greedy)
-        if keep_trace:
-            trace.append(
-                Qvi4State(
-                    epoch=k,
-                    eps_k=eps_k,
-                    zeta=zeta,
-                    c=c,
-                    b=b,
-                    v=v.copy(),
-                    v_start=v_start.copy(),
-                    v_raw=v_raw,
-                    q=q.copy(),
-                    policy=pi.copy(),
-                    policy_start=pi_start.copy(),
-                    policy_raw=pi_raw,
-                    y=y,
-                    x=x,
-                    g=g,
-                )
-            )
-        v_start = v
-        pi_start = pi
+            trace.close(k, h, failed_estimates, 0, v[h])
     params = {
         "eps": eps,
         "delta": delta,
@@ -563,15 +510,7 @@ def qvi4(
         "noise_mode": provider.config.noise_mode,
     }
     return _result(
-        "qvi4",
-        pi,
-        v,
-        np.clip(q, 0.0, float(horizon)),
-        ledger,
-        provider,
-        params,
-        started,
-        trace=trace if keep_trace else None,
+        "qvi4", pi, v, np.clip(q, 0.0, float(horizon)), ledger, provider, params, trace
     )
 
 

@@ -524,8 +524,8 @@ def qmebo_exact(
     trials = tuple(estimate_from_outcome(int(y), t) for y in outcomes)
     estimate = n_full * powering_median(trials)
     if ledger is not None:
-        ledger.charge("dist_binary", 2 * t * repeats, tag="qmebo_exact")
-        ledger.charge("func_binary", 2 * t * repeats, tag="qmebo_exact")
+        ledger.charge("dist_binary", 2 * t * repeats)
+        ledger.charge("func_binary", 2 * t * repeats)
     return QmeboExactRun(
         estimate=float(estimate),
         true_mean=true_mean,

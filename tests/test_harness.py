@@ -2,6 +2,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +89,24 @@ def test_skip_reason_with_commas_round_trips_through_csv(tmp_path):
     assert back[0]["success"] == "" and back[0]["q_total"] == "0"
 
 
+def test_sweep_generates_each_size_once(monkeypatch):
+    import qvilab.harness as harness
+
+    made = []
+
+    def counting_random_mdp(*args, **kwargs):
+        made.append(args)
+        return random_mdp(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "random_mdp", counting_random_mdp)
+    harness._instance.cache_clear()
+    rows = run_experiment(small_config(sweep={"S": (3, 4), "A": (2,), "H": (2,),
+                                              "eps": (0.4, 0.3), "delta": (0.1,)}))
+    harness._instance.cache_clear()
+    assert len(rows) == 8 and all(r.status == "completed" for r in rows)
+    assert made == [(3, 2, 2), (4, 2, 2)]
+
+
 def test_trial_seeds_are_distinct_counters():
     seeds = {trial_seed(1, p, t) for p in range(4) for t in range(4)}
     assert len(seeds) == 16
@@ -114,7 +133,7 @@ def synthetic_rows(exponent, axis="A", values=(4, 8, 16, 32), scale=100.0):
                 eps=point["eps"], delta=point["delta"], eta=point["eta"],
                 seed=i, status="completed", skip_reason="", success=True,
                 v_gap=0.0, policy_gap=0.0, q_gap=None,
-                ledger_counts={"quantum_generative": count}, wall_time=0.0,
+                ledger_counts={"quantum_generative": count},
             )
         )
     return rows
@@ -214,7 +233,7 @@ def test_cli_gen_solve_sweep_fit(tmp_path, capsys):
     out_json = str(tmp_path / "r.json")
     assert cli_main(["solve", "--mdp", mdp_path, "--algo", "qvi1",
                      "--delta", "0.1", "--out", out_json]) == 0
-    blob = json.loads(open(out_json).read())
+    blob = json.loads(Path(out_json).read_text())
     assert blob["algorithm"] == "qvi1"
     assert "value gap 0" in capsys.readouterr().out
 
@@ -250,7 +269,7 @@ def test_cli_env_seed_override(tmp_path, capsys):
                   "--seed", "7", "--out", out_json])
     finally:
         del os.environ["QVI_SEED"]
-    assert json.loads(open(out_json).read())["seed"] == 123
+    assert json.loads(Path(out_json).read_text())["seed"] == 123
 
 
 def test_cli_solve_vi_writes_the_result_payload(tmp_path):
@@ -259,7 +278,7 @@ def test_cli_solve_vi_writes_the_result_payload(tmp_path):
     out_json = str(tmp_path / "vi.json")
     assert cli_main(["solve", "--mdp", mdp_path, "--algo", "vi", "--seed", "4",
                      "--out", out_json]) == 0
-    blob = json.loads(open(out_json).read())
+    blob = json.loads(Path(out_json).read_text())
     pi, v, q = exact_value_iteration(FiniteHorizonMdp.load(mdp_path))
     assert blob == {
         "algorithm": "vi",
@@ -271,6 +290,17 @@ def test_cli_solve_vi_writes_the_result_payload(tmp_path):
         "seed": 4,
     }
     assert list(blob) == ["algorithm", "policy", "V", "Q", "ledger", "config", "seed"]
+
+
+def test_cli_fit_reports_an_unfittable_sweep_as_an_error(tmp_path, capsys):
+    csv_path = str(tmp_path / "s.csv")
+    assert cli_main(["sweep", "--algo", "qvi3", "--S", "3", "4", "--A", "2", "--H", "2",
+                     "--delta", "0.1", "0.999", "--out", csv_path]) == 0
+    capsys.readouterr()
+    assert cli_main(["fit", "--results", csv_path, "--axis", "S"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: need at least three distinct axis values to fit a slope\n"
+    assert captured.out == ""
 
 
 def test_cli_solve_reports_infeasible_params_as_an_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from qvilab import (
     ALGORITHMS,
+    ORACLES,
     ContractViolation,
     EmulatedProvider,
     FiniteHorizonMdp,
@@ -213,24 +214,25 @@ def test_qvi3_halving_eps_doubles_ledger_within_twenty_percent():
 
 
 class RecordingProvider(EmulatedProvider):
+    """Records (method name, positional arguments, estimate) of every estimator call."""
+
     def __init__(self, config):
         super().__init__(config)
-        self.estimates = []
+        self.calls = []
+
+    def _record(self, method, args, kwargs):
+        est = getattr(EmulatedProvider, method)(self, *args, **kwargs)
+        self.calls.append((method, args, est))
+        return est
 
     def mean_bounded(self, *args, **kwargs):
-        est = super().mean_bounded(*args, **kwargs)
-        self.estimates.append(est)
-        return est
+        return self._record("mean_bounded", args, kwargs)
 
     def mean_binary(self, *args, **kwargs):
-        est = super().mean_binary(*args, **kwargs)
-        self.estimates.append(est)
-        return est
+        return self._record("mean_binary", args, kwargs)
 
     def mean_with_variance_bound(self, *args, **kwargs):
-        est = super().mean_with_variance_bound(*args, **kwargs)
-        self.estimates.append(est)
-        return est
+        return self._record("mean_with_variance_bound", args, kwargs)
 
 
 def test_qvi3_offset_estimates_are_one_sided():
@@ -239,8 +241,8 @@ def test_qvi3_offset_estimates_are_one_sided():
     prov = RecordingProvider(SubroutineConfig(rng_seed=2))
     qvi3(mdp, eps, 0.1, prov, QueryLedger())
     per_call = eps / (2 * mdp.horizon)
-    assert prov.estimates
-    for est in prov.estimates:
+    assert prov.calls
+    for _, _, est in prov.calls:
         z = est.value - per_call
         assert est.true_mean - 2 * per_call - 1e-12 <= z <= est.true_mean + 1e-12
 
@@ -252,8 +254,8 @@ def test_qvi2_offset_estimates_are_one_sided():
     horizon = mdp.horizon
     prov = RecordingProvider(SubroutineConfig(rng_seed=5))
     qvi2(mdp, eps, 0.1, prov, QueryLedger())
-    assert prov.estimates
-    for est in prov.estimates:
+    assert prov.calls
+    for _, _, est in prov.calls:
         z = horizon * est.value - eps / (2 * horizon)
         true = horizon * est.true_mean
         assert true - eps / horizon - 1e-12 <= z <= true + 1e-12
@@ -289,58 +291,54 @@ def test_qvi4_value_and_q_sandwich_on_seeded_suite():
 
 
 def test_qvi4_epoch_zero_variance_estimates_stay_in_band():
+    # Epoch 0's reference values are zero, so its variance calls are told
+    # apart by their range: u = H^2 for the second moment, u = H for the
+    # first (the correction call has u = 2H).
     mdp = random_mdp(4, 3, 5, seed=3)
-    result = qvi4(mdp, 0.5, 0.1, provider(1), QueryLedger(), keep_trace=True)
-    first = result.epoch_trace[0]
-    b, horizon = first.b, mdp.horizon
+    prov = RecordingProvider(SubroutineConfig(rng_seed=1))
+    result = qvi4(mdp, 0.5, 0.1, prov, QueryLedger())
+    b, horizon = result.params["b"], mdp.horizon
+    epoch_zero = prov.calls[: 4 * mdp.num_states * mdp.num_actions * horizon]
+    second = [est.value for name, args, est in epoch_zero
+              if name == "mean_bounded" and args[2] == horizon**2]
+    first = [est.value for name, args, est in epoch_zero
+             if name == "mean_bounded" and args[2] == horizon]
+    assert len(second) == len(first) == mdp.num_states * mdp.num_actions * horizon
+    y = np.maximum(np.array(second) - np.array(first) ** 2, 0.0)
     band = b + 2 * b / horizon + (b / horizon) ** 2
-    assert first.y.min() >= 0.0
-    assert first.y.max() <= band
+    assert y.max() <= band
 
 
 def test_qvi4_reference_values_grow_monotonically():
     mdp = random_mdp(4, 3, 4, seed=5)
-    result = qvi4(mdp, 0.3, 0.1, provider(2), QueryLedger(), keep_trace=True)
-    trace = result.epoch_trace
-    for k in range(1, len(trace)):
-        assert (trace[k].v_start >= trace[k - 1].v_start - 1e-12).all()
-        assert (trace[k].v >= trace[k].v_start - 1e-12).all()
-        assert trace[k].eps_k == mdp.horizon / 2**k
-
-
-class TaggedRecordingProvider(EmulatedProvider):
-    """Records (tag, per-call error, estimate) for the offset estimators."""
-
-    def __init__(self, config):
-        super().__init__(config)
-        self.offset_calls = []
-
-    def mean_bounded(self, probabilities, values, u, eps, delta, ledger=None, **kwargs):
-        est = super().mean_bounded(probabilities, values, u, eps, delta, ledger, **kwargs)
-        self.offset_calls.append((kwargs.get("tag", ""), eps, est))
-        return est
-
-    def mean_with_variance_bound(
-        self, probabilities, values, sigma_bound, eps, delta, ledger=None, **kwargs
-    ):
-        est = super().mean_with_variance_bound(
-            probabilities, values, sigma_bound, eps, delta, ledger, **kwargs
-        )
-        self.offset_calls.append((kwargs.get("tag", ""), eps, est))
-        return est
+    result = qvi4(mdp, 0.3, 0.1, provider(2), QueryLedger())
+    # v[k + 1] holds epoch k's values; v[0] is the all-zero first reference.
+    v = np.zeros((result.params["epochs"] + 1, mdp.horizon, mdp.num_states))
+    for record in result.trace:
+        v[record.epoch + 1, record.h] = record.values
+    assert (np.diff(v, axis=0) >= -1e-12).all()
 
 
 def test_qvi4_offset_estimators_are_one_sided():
+    # Per (h, s, a) qvi4 makes four calls: two variance calls, the reference
+    # call x (its only variance-bounded call) and then the correction call g,
+    # whose range is u = 2 eps_k.  x and g are the offset estimates.
     mdp = random_mdp(4, 3, 4, seed=7)
-    prov = TaggedRecordingProvider(SubroutineConfig(rng_seed=9))
-    qvi4(mdp, 0.4, 0.1, prov, QueryLedger())
+    prov = RecordingProvider(SubroutineConfig(rng_seed=9))
+    result = qvi4(mdp, 0.4, 0.1, prov, QueryLedger())
+    per_epoch = 4 * mdp.num_states * mdp.num_actions * mdp.horizon
+    assert len(prov.calls) == result.params["epochs"] * per_epoch
     checked = 0
-    for tag, eps_call, est in prov.offset_calls:
-        if tag.endswith(" x") or tag.endswith(" g"):  # offset estimators only
-            z = est.value - eps_call
-            assert est.true_mean - 2 * eps_call - 1e-12 <= z <= est.true_mean + 1e-12
+    for i, (name, args, est) in enumerate(prov.calls):
+        if name != "mean_with_variance_bound":
+            continue
+        g_name, g_args, g_est = prov.calls[i + 1]
+        assert g_name == "mean_bounded" and g_args[2] == 2 * mdp.horizon / 2 ** (i // per_epoch)
+        for eps_call, e in ((args[3], est), (g_args[3], g_est)):
+            z = e.value - eps_call
+            assert e.true_mean - 2 * eps_call - 1e-12 <= z <= e.true_mean + 1e-12
             checked += 1
-    assert checked > 0
+    assert checked == len(prov.calls) // 2
 
 
 def test_qvi4_accounting_replay():
@@ -467,17 +465,18 @@ def test_statevector_provider_shares_the_median_boost_rule():
     prov = StatevectorProvider(SubroutineConfig(rng_seed=1))
     with pytest.raises(ContractViolation, match="failure budget"):
         prov.qmebo_call_cost(2, 0.1, 1.5)
-    ledger = QueryLedger(track_calls=True)
-    est = prov.mean_binary([0.25, 0.75], [0.5, 1.0], 0.1, 0.1, ledger, tag="sv")
-    assert ledger.calls == [("dist_binary", est.charged_queries, "sv"),
-                            ("func_binary", est.charged_queries, "sv")]
+    ledger = QueryLedger()
+    est = prov.mean_binary([0.25, 0.75], [0.5, 1.0], 0.1, 0.1, ledger)
+    assert est.charged_queries > 0
+    assert ledger.as_dict() == dict.fromkeys(ORACLES, 0) | {
+        "dist_binary": est.charged_queries, "func_binary": est.charged_queries}
 
 
 def test_results_are_deterministic_and_exportable(tmp_path):
     mdp = random_mdp(4, 3, 4, seed=10)
 
     def run():
-        ledger = QueryLedger(track_calls=True)
+        ledger = QueryLedger()
         result = qvi3(mdp, 0.3, 0.1, provider(42), ledger)
         return result, ledger
 
@@ -486,7 +485,7 @@ def test_results_are_deterministic_and_exportable(tmp_path):
     np.testing.assert_array_equal(r1.values.values, r2.values.values)
     np.testing.assert_array_equal(r1.policy.actions, r2.policy.actions)
     assert l1.as_dict() == l2.as_dict()
-    assert l1.calls == l2.calls
+    assert without_seconds(r1.trace) == without_seconds(r2.trace)
 
     path = tmp_path / "result.json"
     r1.save(path)
@@ -496,6 +495,49 @@ def test_results_are_deterministic_and_exportable(tmp_path):
     assert set(blob) == {"algorithm", "policy", "V", "Q", "ledger", "config", "seed"}
     assert blob["seed"] == 42
     assert blob["Q"] is None
+
+
+def without_seconds(trace):
+    """A run trace with the wall times left out, for comparing runs."""
+    return [(r.epoch, r.h, r.queries, r.failed_estimates, r.failed_searches, r.values.tolist())
+            for r in trace]
+
+
+TRACED = ["qvi1", "qvi2", "qvi3", "qvi4", "qvi5"]
+
+
+@pytest.mark.parametrize("algo", TRACED)
+def test_trace_has_one_record_per_step_summing_to_the_ledger(algo):
+    mdp = sparse_chain(4, 3, 3, seed=4)
+    ledger = QueryLedger()
+    result = solve(algo, mdp, provider(1), ledger, eps=0.5, delta=0.1, eta=0.3)
+    epochs = result.params.get("epochs", 1)
+    steps = [(r.epoch, r.h) for r in result.trace]
+    assert steps == [(k, h) for k in range(epochs) for h in (2, 1, 0)]
+    summed = {name: sum(r.queries[name] for r in result.trace) for name in ORACLES}
+    expected = ledger.as_dict()
+    if algo == "qvi5":
+        expected["oracle_conversion"] -= 1  # the one conversion, charged before any step
+    assert summed == expected
+    for record in result.trace[-mdp.horizon:]:
+        np.testing.assert_array_equal(record.values, result.values.values[record.h])
+    assert all(r.seconds >= 0.0 for r in result.trace)
+    assert all(r.failed_estimates == r.failed_searches == 0 for r in result.trace)
+
+
+@pytest.mark.parametrize("algo", TRACED)
+def test_trace_counts_injected_failures(algo):
+    mdp = sparse_chain(4, 3, 3, seed=4)
+    failed_estimates = failed_searches = drawn = 0
+    for seed in range(10):
+        prov = RecordingProvider(SubroutineConfig(rng_seed=seed, failure_injection=True))
+        result = solve(algo, mdp, prov, QueryLedger(), eps=0.5, delta=0.97, eta=0.3)
+        failed_estimates += sum(r.failed_estimates for r in result.trace)
+        failed_searches += sum(r.failed_searches for r in result.trace)
+        drawn += sum(est.failed for _, _, est in prov.calls)
+    assert failed_estimates == drawn
+    assert (failed_estimates > 0) == (algo != "qvi1")  # qvi1 estimates nothing
+    assert (failed_searches > 0) == (algo != "qvi4")  # qvi4 takes a classical argmax
 
 
 def test_result_values_respect_table_invariants():
@@ -558,6 +600,7 @@ def test_vi_is_registered_and_exact():
     np.testing.assert_array_equal(result.values.values, v.values)
     np.testing.assert_array_equal(result.qvalues.qvalues, q.qvalues)
     assert (result.algorithm, result.params, result.seed, ledger.total) == ("vi", {}, 5, 0)
+    assert result.trace == ()
 
 
 def test_solve_binds_through_wrapped_registry_entries(monkeypatch):
