@@ -1,15 +1,33 @@
 """Query-model emulation of the quantum subroutines.
 
-Each emulated call returns a value satisfying the corresponding theorem's
+Each emulated call returns values satisfying the corresponding theorem's
 error/success contract, charges the theorem's query cost to a ledger, and can
 optionally inject failures at the stated rate.  Because the emulator knows the
 exact answer, the error contract is enforced *by construction*: in faithful
 mode every estimate is within eps of the true mean.
 
-The three mean estimators check their own preconditions and then share one
-tail, :func:`_estimate`, which does the same three steps in a fixed order on
-every call: bill the query count to each oracle, make the failure draw (only
-with failure injection on), then make the noise draw.
+Every subroutine takes one row or a stack of rows.  A mean estimator takes
+distributions ``p`` of shape (..., N), one function ``f`` of shape (N,), and
+an ``eps`` (and qme2's ``sigma_bound``) that is a scalar or one value per
+row; it returns (...)-shaped estimates and failure flags.  The search maps
+values of shape (..., N) to (...)-shaped indices.  A call checks its
+preconditions once, computes the true means as one ``P @ f`` and makes one
+ledger charge per oracle: the per-call count summed over the rows.  The mean
+estimators share one tail, :func:`_estimate`.
+
+Draw protocol.  Each estimator call draws, in this order:
+
+1. with failure injection on, one failure uniform per row, in C order;
+2. for each failed row, in C order, its value, uniform over
+   ``[f.min(), f.max()]``;
+3. under ``uniform_interval`` noise, the noise of each non-failed row, in
+   C order.
+
+A search call draws its failure uniforms (one per row, with failure
+injection on) first, then the random indices of the failed rows.  For one
+row this is a failure uniform followed by the failed value (or index) or
+the noise; without failure injection a stack draws what its rows' one-row
+calls draw, in C order.
 
 Cost formulas use natural logarithms and ceilings, with explicit constants
 (``qms_constant`` for the search subroutine, ``powering_repeats`` per unit of
@@ -25,6 +43,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ledger import QueryLedger
+from .mdp import STOCHASTICITY_TOL
 
 NOISE_MODES = ("exact", "uniform_interval", "adversarial_low", "adversarial_high")
 
@@ -79,21 +98,26 @@ class SubroutineConfig:
 
 @dataclass(frozen=True)
 class NoisyEstimate:
-    """An emulated estimate plus its accounting and ground truth."""
+    """A call's estimates plus its accounting and ground truth.
 
-    value: float
+    ``value``, ``failed`` and ``true_mean`` hold one entry per row, in the
+    shape of the call's stack of rows (numpy scalars for a one-row call);
+    ``charged_queries`` is what the call charged each of its oracles.
+    """
+
+    value: np.ndarray
     charged_queries: int
-    failed: bool
-    true_mean: float
+    failed: np.ndarray
+    true_mean: np.ndarray
 
 
-def _pair(p, f) -> tuple[np.ndarray, np.ndarray]:
-    """The (distribution, function) pair an estimator is asked about, as flat arrays."""
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
+def _stack(p, f) -> tuple[np.ndarray, np.ndarray]:
+    """The distributions (N,) or (..., N) and the one function (N,) asked about."""
+    p = np.asarray(p, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64).reshape(-1)
-    if p.shape != f.shape:
+    if p.ndim == 0 or p.shape[-1] != f.size:
         raise ContractViolation("distribution and function must have the same length")
-    if p.size == 0:
+    if f.size == 0:
         raise ContractViolation("empty mean query")
     return p, f
 
@@ -168,24 +192,49 @@ def _bill(ledger: Optional[QueryLedger], oracles: Sequence[str], n_queries: int)
             ledger.charge(oracle, n_queries)
 
 
-def _estimate(p, f, n_queries, eps, delta, config, rng, ledger, oracles) -> NoisyEstimate:
-    """The tail of every mean estimator: bill, failure draw, noise draw.
+def _batch_count(per_call, key, shape) -> int:
+    """Queries a stack of ``shape`` rows charges: ``per_call(key)`` summed over its rows.
 
-    A failed estimate is uniform over the function's value range; otherwise
-    the exact mean moves within ``eps`` as ``config.noise_mode`` says.
+    ``key`` is the one parameter the per-call count varies with, a scalar or
+    one value per row; the count is computed once per distinct value.
     """
-    _bill(ledger, oracles, n_queries)
-    true_mean = float(p @ f)
-    if config.failure_injection and rng.random() < delta:
-        return NoisyEstimate(float(rng.uniform(f.min(), f.max())), n_queries, True, true_mean)
-    value = true_mean
-    if config.noise_mode == "uniform_interval":
-        value = true_mean + rng.uniform(-eps, eps)
-    elif config.noise_mode == "adversarial_low":
-        value = true_mean - eps
-    elif config.noise_mode == "adversarial_high":
-        value = true_mean + eps
-    return NoisyEstimate(value, n_queries, False, true_mean)
+    if np.ndim(key) == 0:
+        return math.prod(shape) * per_call(float(key))
+    keys, rows = np.unique(np.broadcast_to(key, shape), return_counts=True)
+    return sum(int(n) * per_call(float(k)) for k, n in zip(keys, rows))
+
+
+def _shaped(flat: np.ndarray, shape) -> np.ndarray:
+    """A per-row result in the stack's shape (a numpy scalar for one row)."""
+    return flat.reshape(shape)[()]
+
+
+def _estimate(p, f, charged, eps, delta, config, rng, ledger, oracles) -> NoisyEstimate:
+    """The tail of every mean estimator, over a stack of rows: bill, then draw.
+
+    Draws follow the module's draw protocol.  A failed row's estimate is
+    uniform over the function's value range; every other row's exact mean
+    moves within its row's ``eps`` as ``config.noise_mode`` says.
+    """
+    _bill(ledger, oracles, charged)
+    shape = p.shape[:-1]
+    true_mean = np.reshape(p @ f, -1)
+    failed = np.zeros(true_mean.size, dtype=bool)
+    if config.failure_injection:
+        failed = rng.random(true_mean.size) < delta
+    value = true_mean.copy()
+    if failed.any():
+        value[failed] = rng.uniform(f.min(), f.max(), size=np.count_nonzero(failed))
+    ok = ~failed
+    if config.noise_mode != "exact":
+        row_eps = np.broadcast_to(eps, shape).reshape(-1)[ok]
+        if config.noise_mode == "uniform_interval":
+            value[ok] += rng.uniform(-row_eps, row_eps)
+        else:
+            value[ok] += -row_eps if config.noise_mode == "adversarial_low" else row_eps
+    return NoisyEstimate(
+        _shaped(value, shape), charged, _shaped(failed, shape), _shaped(true_mean, shape)
+    )
 
 
 def qms_emulated(
@@ -196,30 +245,33 @@ def qms_emulated(
     ledger: Optional[QueryLedger] = None,
     oracle: str = "func_binary",
     cost_per_query: int = 1,
-) -> int:
-    """Emulated maximum search: index of the largest entry of ``f``.
+):
+    """Emulated maximum search over each row of ``f`` (one row or a stack).
 
-    In faithful mode returns the smallest argmax index.  With failure
-    injection, with probability ``delta`` a uniformly random index is
-    returned instead.  Charges ``qms_query_count(N, delta)`` oracle queries,
-    each costing ``cost_per_query`` base-oracle queries (the hook the
+    In faithful mode returns each row's smallest argmax index.  With failure
+    injection, a row's search fails with probability ``delta`` and returns a
+    uniformly random index.  Charges ``qms_query_count(N, delta)`` queries per
+    row, each costing ``cost_per_query`` base-oracle queries (the hook the
     algorithms use to account for oracles that are themselves expensive).
     """
-    values = np.asarray(f, dtype=np.float64).reshape(-1)
-    if values.size == 0:
+    values = np.asarray(f, dtype=np.float64)
+    if values.ndim == 0 or values.shape[-1] == 0:
         raise ContractViolation("cannot search an empty sequence")
-    n_queries = qms_query_count(values.size, delta, config)
+    n = values.shape[-1]
+    picked = values.reshape(-1, n).argmax(axis=1)
+    n_queries = qms_query_count(n, delta, config)
     if ledger is not None:
-        ledger.charge(oracle, n_queries * int(cost_per_query))
-    if config.failure_injection and rng.random() < delta:
-        return int(rng.integers(values.size))
-    return int(values.argmax())
+        ledger.charge(oracle, picked.size * n_queries * int(cost_per_query))
+    if config.failure_injection:
+        failed = rng.random(picked.size) < delta
+        picked[failed] = rng.integers(n, size=np.count_nonzero(failed))
+    return _shaped(picked, values.shape[:-1])
 
 
 def qme1_emulated(
     mean_query,
     u: float,
-    eps: float,
+    eps,
     delta: float,
     config: SubroutineConfig,
     rng: np.random.Generator,
@@ -227,20 +279,20 @@ def qme1_emulated(
     oracle: str = "quantum_generative",
 ) -> NoisyEstimate:
     """Range-bounded mean estimation: values in [0, u], error at most eps."""
-    p, f = _pair(*mean_query)
+    p, f = _stack(*mean_query)
     lo, hi = float(f.min()), float(f.max())
     if lo < -1e-12 or hi > u + 1e-12:
         raise ContractViolation(
             f"function values must lie in [0, u={u!r}]; observed range [{lo!r}, {hi!r}]"
         )
-    n_queries = qme1_query_count(u, eps, delta, config)
-    return _estimate(p, f, n_queries, eps, delta, config, rng, ledger, (oracle,))
+    charged = _batch_count(lambda e: qme1_query_count(u, e, delta, config), eps, p.shape[:-1])
+    return _estimate(p, f, charged, eps, delta, config, rng, ledger, (oracle,))
 
 
 def qme2_emulated(
     mean_query,
-    sigma_bound: float,
-    eps: float,
+    sigma_bound,
+    eps,
     delta: float,
     config: SubroutineConfig,
     rng: np.random.Generator,
@@ -249,28 +301,37 @@ def qme2_emulated(
 ) -> NoisyEstimate:
     """Variance-bounded mean estimation: Var(f) <= sigma_bound^2, error <= eps.
 
-    Requires eps < 4 * sigma_bound; violating that raises
+    Requires eps < 4 * sigma_bound on every row; violating that raises
     :class:`Qme2ContractError` so the caller can widen eps or fall back to the
     range-bounded estimator.
     """
-    p, f = _pair(*mean_query)
-    if not eps < 4.0 * sigma_bound:
-        raise Qme2ContractError(eps, sigma_bound)
+    p, f = _stack(*mean_query)
+    shape = p.shape[:-1]
+    sigma_bound, eps = np.broadcast_arrays(np.asarray(sigma_bound, float), np.asarray(eps, float))
+    too_wide = np.flatnonzero(~(eps < 4.0 * sigma_bound))
+    if too_wide.size:
+        raise Qme2ContractError(float(eps.flat[too_wide[0]]), float(sigma_bound.flat[too_wide[0]]))
     if config.debug_checks:
-        mean = float(p @ f)
-        var = max(float(p @ (f * f)) - mean * mean, 0.0)
-        if var > sigma_bound**2 + 1e-9:
-            raise ContractViolation(
-                f"variance {var!r} exceeds declared bound {sigma_bound**2!r}"
-            )
-    n_queries = qme2_query_count(sigma_bound, eps, delta, config)
-    return _estimate(p, f, n_queries, eps, delta, config, rng, ledger, (oracle,))
+        mean = p @ f
+        var = np.maximum(p @ (f * f) - mean * mean, 0.0)
+        bound = np.broadcast_to(sigma_bound**2, shape)
+        over = np.flatnonzero(var > bound + 1e-9)
+        if over.size:
+            var, bound = float(var.flat[over[0]]), float(bound.flat[over[0]])
+            raise ContractViolation(f"variance {var!r} exceeds declared bound {bound!r}")
+    if (eps <= 0).any():
+        raise ContractViolation("eps must be positive")
+    # The count depends on the bound only through the ratio sigma_bound / eps.
+    charged = _batch_count(
+        lambda ratio: qme2_query_count(ratio, 1.0, delta, config), sigma_bound / eps, shape
+    )
+    return _estimate(p, f, charged, eps, delta, config, rng, ledger, (oracle,))
 
 
 def qmebo_emulated(
     p,
     f: Sequence[float],
-    eps: float,
+    eps,
     delta: float,
     config: SubroutineConfig,
     rng: np.random.Generator,
@@ -279,19 +340,25 @@ def qmebo_emulated(
 ) -> NoisyEstimate:
     """Mean estimation from two binary oracles; f in [0, 1]^N, error <= eps.
 
-    Charges the same query count to the distribution oracle and the function
-    oracle.
+    Every row of ``p`` must be a probability vector.  Charges the same query
+    count to the distribution oracle and the function oracle.
     """
-    from .mdp import as_probability_vector  # local import avoids a cycle
-
-    probs, values = _pair(as_probability_vector(p), f)
+    probs, values = _stack(p, f)
+    if ((probs < -STOCHASTICITY_TOL) | (probs > 1.0 + STOCHASTICITY_TOL)).any():
+        raise ContractViolation("probabilities must lie in [0, 1]")
+    sums = np.reshape(probs.sum(axis=-1), -1)
+    off = np.abs(sums - 1.0)
+    if (off > STOCHASTICITY_TOL).any():
+        raise ContractViolation(f"probabilities sum to {float(sums[off.argmax()])!r}, not 1")
     if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
         raise ContractViolation(
             f"function values must lie in [0, 1]; observed range "
             f"[{values.min()!r}, {values.max()!r}]"
         )
-    n_queries = qmebo_query_count(values.size, eps, delta, config)
-    return _estimate(probs, values, n_queries, eps, delta, config, rng, ledger, oracles)
+    charged = _batch_count(
+        lambda e: qmebo_query_count(values.size, e, delta, config), eps, probs.shape[:-1]
+    )
+    return _estimate(probs, values, charged, eps, delta, config, rng, ledger, oracles)
 
 
 def btp_cost(eps: float, eta: float, ledger: Optional[QueryLedger] = None) -> int:

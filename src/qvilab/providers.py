@@ -31,7 +31,7 @@ class EmulatedProvider:
         self.config = config
         self.rng = np.random.default_rng(config.rng_seed)
 
-    # -- selection ----------------------------------------------------------
+    # -- selection and mean estimation, over one row or a stack of rows -----
 
     def qms(
         self,
@@ -40,17 +40,15 @@ class EmulatedProvider:
         ledger: Optional[QueryLedger] = None,
         oracle: str = "func_binary",
         cost_per_query: int = 1,
-    ) -> int:
+    ):
         return em.qms_emulated(values, delta, self.config, self.rng, ledger, oracle, cost_per_query)
-
-    # -- mean estimation ------------------------------------------------------
 
     def mean_bounded(
         self,
         probabilities,
         values,
         u: float,
-        eps: float,
+        eps,
         delta: float,
         ledger: Optional[QueryLedger] = None,
         oracle: str = "quantum_generative",
@@ -63,8 +61,8 @@ class EmulatedProvider:
         self,
         probabilities,
         values,
-        sigma_bound: float,
-        eps: float,
+        sigma_bound,
+        eps,
         delta: float,
         ledger: Optional[QueryLedger] = None,
         oracle: str = "quantum_generative",
@@ -77,7 +75,7 @@ class EmulatedProvider:
         self,
         probabilities,
         values,
-        eps: float,
+        eps,
         delta: float,
         ledger: Optional[QueryLedger] = None,
         oracles: tuple[str, str] = ("dist_binary", "func_binary"),
@@ -126,29 +124,28 @@ class StatevectorProvider(EmulatedProvider):
         self,
         probabilities,
         values,
-        eps: float,
+        eps,
         delta: float,
         ledger: Optional[QueryLedger] = None,
         oracles: tuple[str, str] = ("dist_binary", "func_binary"),
     ) -> em.NoisyEstimate:
-        run = qmebo_exact(
-            probabilities,
-            values,
-            eps,
-            delta,
-            self.fmt,
-            self.rng,
-            ledger=None,
-            kappa=self.config.powering_repeats,
-            t_rule=self.t_rule,
-        )
-        charged = 2 * run.grover_powers * run.repeats
+        """One statevector estimation per row of ``probabilities``, in C order."""
+        probabilities = np.asarray(probabilities, dtype=np.float64)
+        shape = probabilities.shape[:-1]
+        rows = probabilities.reshape(-1, probabilities.shape[-1])
+        row_eps = np.broadcast_to(eps, shape).reshape(-1)
+        runs = [
+            qmebo_exact(row, values, float(e), delta, self.fmt, self.rng, ledger=None,
+                        kappa=self.config.powering_repeats, t_rule=self.t_rule)
+            for row, e in zip(rows, row_eps)
+        ]
+        charged = sum(2 * run.grover_powers * run.repeats for run in runs)
         em._bill(ledger, oracles, charged)
         return em.NoisyEstimate(
-            value=run.estimate,
+            value=em._shaped(np.array([run.estimate for run in runs]), shape),
             charged_queries=charged,
-            failed=False,
-            true_mean=run.true_mean,
+            failed=em._shaped(np.zeros(len(runs), dtype=bool), shape),
+            true_mean=em._shaped(np.array([run.true_mean for run in runs]), shape),
         )
 
     def qmebo_call_cost(self, n: int, eps: float, delta: float) -> int:

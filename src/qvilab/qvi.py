@@ -19,10 +19,12 @@ an oracle that itself runs an estimator, the ledger is charged search-probes
 times estimator-cost (times the conversion multiplier for ``qvi5``), not one
 flat estimator call per action.
 
-Within a layer the per-(s, a) estimator calls are independent and could run
-concurrently with split random streams; layers and epochs are strictly
-sequential.  This implementation keeps a single stream and loops in a fixed
-order so runs are reproducible.
+Within a layer the per-(s, a) estimates are independent, so each backward
+step makes one provider call per estimator kind over the layer's (S, A)
+stack of transition rows, and one search call over its (S, A) table of
+action values; the provider draws for the rows in C order (see the draw
+protocol in :mod:`qvilab.emulation`).  Layers and epochs are strictly
+sequential.  A run keeps a single random stream, so it is reproducible.
 
 Every run keeps one trace: a :class:`LayerRecord` per backward step (per
 epoch and step for ``qvi4``) with the step's wall time, its ledger delta per
@@ -72,21 +74,21 @@ class LayerRecord:
 
 
 class _Trace:
-    """Builds a run's layer records from its ledger and the clock."""
+    """Builds a run's layer records from its ledger and the clock; each record
+    covers what happened since the previous one (or since the trace began)."""
 
     def __init__(self, ledger: QueryLedger):
         self.ledger = ledger
         self.records: list[LayerRecord] = []
-
-    def open(self) -> None:
-        self.started, self.before = time.perf_counter(), self.ledger.as_dict()
+        self.started, self.before = time.perf_counter(), ledger.as_dict()
 
     def close(self, epoch, h, failed_estimates, failed_searches, values) -> None:
-        queries = {name: n - self.before[name] for name, n in self.ledger.counts.items()}
+        now, counts = time.perf_counter(), self.ledger.as_dict()
+        queries = {name: n - self.before[name] for name, n in counts.items()}
         self.records.append(LayerRecord(
-            epoch, h, time.perf_counter() - self.started, queries,
-            failed_estimates, failed_searches, values.copy(),
+            epoch, h, now - self.started, queries, failed_estimates, failed_searches, values.copy(),
         ))
+        self.started, self.before = now, counts
 
 
 @dataclass(frozen=True)
@@ -153,9 +155,12 @@ def _qms_budget(mdp: FiniteHorizonMdp, delta: float, mode: str) -> float:
     return delta / (mdp.num_states * mdp.horizon)
 
 
-def _failed_searches(rows: np.ndarray, picked: np.ndarray) -> int:
-    """How many searches picked a value below their searched row's maximum."""
-    return int(np.count_nonzero(picked < rows.max(axis=1)))
+def _search(provider, rows, delta, ledger, oracle, cost_per_query):
+    """Search every row of the (S, A) table ``rows`` in one provider call: the
+    actions found, their values, and how many scored below their row's maximum."""
+    actions = provider.qms(rows, delta, ledger, oracle=oracle, cost_per_query=cost_per_query)
+    picked = rows[np.arange(len(rows)), actions]
+    return actions, picked, int(np.count_nonzero(picked < rows.max(axis=1)))
 
 
 def _result(algorithm, pi, v, q, ledger, provider, params, trace=None):
@@ -196,13 +201,9 @@ def qvi1(mdp: FiniteHorizonMdp, delta: float, provider, ledger: QueryLedger) -> 
     pi = np.zeros((n_s, horizon), dtype=np.int64)
     trace = _Trace(ledger)
     for h in range(horizon - 1, -1, -1):
-        trace.open()
         q = mdp.rewards[h] + mdp.transitions[h] @ v[h + 1]
-        for s in range(n_s):
-            a_star = provider.qms(q[s], zeta, ledger, oracle="quantum_mdp", cost_per_query=n_s)
-            pi[s, h] = a_star
-            v[h, s] = q[s, a_star]
-        trace.close(0, h, 0, _failed_searches(q, v[h]), v[h])
+        pi[:, h], v[h], failed = _search(provider, q, zeta, ledger, "quantum_mdp", n_s)
+        trace.close(0, h, 0, failed, v[h])
     params = {"delta": delta, "noise_mode": provider.config.noise_mode}
     return _result("qvi1", pi, v, None, ledger, provider, params, trace)
 
@@ -213,58 +214,33 @@ def qvi1(mdp: FiniteHorizonMdp, delta: float, provider, ledger: QueryLedger) -> 
 
 
 def _offset_recursion(
-    algorithm: str,
-    mdp: FiniteHorizonMdp,
-    rows: np.ndarray,
-    estimate,
-    offset: float,
-    zeta_qms: float,
-    provider,
-    ledger: QueryLedger,
-    per_call_cost: int,
-    oracle: str,
-    extra_oracles: tuple = (),
-    params: Optional[dict] = None,
-    value_scale: int = 1,
+    algorithm: str, mdp: FiniteHorizonMdp, rows: np.ndarray, estimator, bounds: tuple,
+    offset: float, zeta_qms: float, provider, ledger: QueryLedger, per_call_cost: int,
+    oracle: str, extra_oracles: tuple = (), params: Optional[dict] = None, value_scale: int = 1,
 ):
     """Backward induction with one-sided offset estimates and searched argmax.
 
-    ``estimate(rows[h, s, a], v_next)`` returns the :class:`NoisyEstimate` of
-    one action's next-step expectation, given the next-step values divided by
-    ``value_scale`` (divided once per layer).  Its offset estimate is
-    z = value_scale * estimate - offset, and the searched row is
+    Each step makes one ``estimator(rows[h], v_next, *bounds)`` call, a
+    provider method that estimates every action's next-step expectation given
+    the next-step values divided by ``value_scale``.  The offset estimates are
+    z = value_scale * estimate - offset, and each state's searched row is
     max(r + z, 0), searched with failure budget ``zeta_qms``.  Each search
     probe is billed ``per_call_cost`` base-oracle queries to ``oracle`` (and
     to each oracle in ``extra_oracles``).
     """
-    n_s, n_a, horizon = mdp.num_states, mdp.num_actions, mdp.horizon
-    probes = provider.qms_call_cost(n_a, zeta_qms)
+    n_s, horizon = mdp.num_states, mdp.horizon
+    probes = provider.qms_call_cost(mdp.num_actions, zeta_qms)
     v = np.zeros((horizon + 1, n_s))
     pi = np.zeros((n_s, horizon), dtype=np.int64)
-    z = np.empty(n_a)
-    q_rows = np.empty((n_s, n_a))  # the layer's searched rows
-    picked = np.empty(n_s)  # the searched value each search returned
     trace = _Trace(ledger)
     for h in range(horizon - 1, -1, -1):
-        trace.open()
-        v_next = v[h + 1] / value_scale
-        failed_estimates = 0
-        for s in range(n_s):
-            for a in range(n_a):
-                est = estimate(rows[h, s, a], v_next)
-                failed_estimates += est.failed
-                z[a] = value_scale * est.value - offset
-            q_row = q_rows[s]
-            q_row[:] = np.maximum(mdp.rewards[h, s] + z, 0.0)
-            a_star = provider.qms(
-                q_row, zeta_qms, ledger, oracle=oracle, cost_per_query=per_call_cost
-            )
-            for name in extra_oracles:
-                ledger.charge(name, probes * per_call_cost)
-            pi[s, h] = a_star
-            picked[s] = q_row[a_star]
-            v[h, s] = min(picked[s], float(horizon))  # keep values in [0, H]
-        trace.close(0, h, failed_estimates, _failed_searches(q_rows, picked), v[h])
+        est = estimator(rows[h], v[h + 1] / value_scale, *bounds)
+        q = np.maximum(mdp.rewards[h] + (value_scale * est.value - offset), 0.0)
+        pi[:, h], picked, failed = _search(provider, q, zeta_qms, ledger, oracle, per_call_cost)
+        for name in extra_oracles:
+            ledger.charge(name, n_s * probes * per_call_cost)
+        v[h] = np.minimum(picked, float(horizon))  # keep values in [0, H]
+        trace.close(0, h, int(np.count_nonzero(est.failed)), failed, v[h])
     return _result(algorithm, pi, v, None, ledger, provider, params or {}, trace)
 
 
@@ -296,19 +272,10 @@ def qvi2(
     eps_call = eps / (2.0 * horizon**2)
     per_call = provider.qmebo_call_cost(mdp.num_states, eps_call, zeta)
     return _offset_recursion(
-        "qvi2",
-        mdp,
-        mdp.transitions,
-        lambda p, scaled: provider.mean_binary(p, scaled, eps_call, zeta),
-        eps / (2.0 * horizon),
-        zeta_qms,
-        provider,
-        ledger,
-        per_call,
-        oracle="quantum_mdp",
-        extra_oracles=("func_binary",),
+        "qvi2", mdp, mdp.transitions, provider.mean_binary, (eps_call, zeta),
+        eps / (2.0 * horizon), zeta_qms, provider, ledger, per_call, oracle="quantum_mdp",
+        extra_oracles=("func_binary",), value_scale=horizon,
         params=_offset_params(provider, eps, delta, qms_budget_mode),
-        value_scale=horizon,
     )
 
 
@@ -329,16 +296,8 @@ def qvi3(
     eps_call = eps / (2.0 * horizon)
     per_call = provider.qme1_call_cost(float(horizon), eps_call, zeta)
     return _offset_recursion(
-        "qvi3",
-        mdp,
-        mdp.transitions,
-        lambda p, v_next: provider.mean_bounded(p, v_next, float(horizon), eps_call, zeta),
-        eps_call,
-        zeta_qms,
-        provider,
-        ledger,
-        per_call,
-        oracle="quantum_generative",
+        "qvi3", mdp, mdp.transitions, provider.mean_bounded, (float(horizon), eps_call, zeta),
+        eps_call, zeta_qms, provider, ledger, per_call, oracle="quantum_generative",
         params=_offset_params(provider, eps, delta, qms_budget_mode),
     )
 
@@ -346,33 +305,35 @@ def qvi3(
 def perturbed_transitions(
     mdp: FiniteHorizonMdp, bound: float, rng: np.random.Generator, scale: float = 1.0
 ) -> np.ndarray:
-    """Transition tables moved by at most ``bound`` on each supported entry.
+    """Transition tables moved by at most ``bound * scale`` on each supported entry.
 
     Support is preserved, rows still sum to one (perturbations are zero-sum
     per row), and entries stay within [0, 1].  ``scale`` in [0, 1] shrinks the
-    perturbation; 0 returns the exact tables.
+    perturbation; 0 returns the exact tables.  Every row with two or more
+    supported entries draws one uniform shift per supported entry, in C
+    order, recentres the shifts to sum to zero, and shrinks them by one
+    factor if an entry would leave [0, 1].
     """
-    out = np.array(mdp.transitions)
     if scale == 0.0 or bound == 0.0:
-        return out
+        return np.array(mdp.transitions)
     width = bound * scale
-    horizon, n_s, n_a, _ = out.shape
-    for h in range(horizon):
-        for s in range(n_s):
-            for a in range(n_a):
-                row = out[h, s, a]
-                support = np.flatnonzero(row)
-                if support.size < 2:
-                    continue
-                shift = rng.uniform(-width / 2.0, width / 2.0, size=support.size)
-                shift -= shift.mean()  # zero-sum keeps the row normalized
-                moved = row[support] + shift
-                if moved.min() < 0.0 or moved.max() > 1.0:
-                    lo = (row[support] / np.maximum(-shift, 1e-300)).min()
-                    hi = ((1.0 - row[support]) / np.maximum(shift, 1e-300)).min()
-                    shift *= min(1.0, lo, hi)
-                row[support] += shift
-    return out
+    rows = mdp.transitions.reshape(-1, mdp.num_states)
+    support = rows > 0
+    size = support.sum(axis=1)
+    support[size < 2] = False
+    shift = np.zeros_like(rows)
+    # the values rng.uniform(-width / 2, width / 2) returns, drawn faster
+    shift[support] = width * rng.random(np.count_nonzero(support)) - width / 2.0
+    mean = shift.sum(axis=1) / np.maximum(size, 1)
+    np.subtract(shift, mean[:, None], out=shift, where=support)
+    out = rows + shift
+    leaves = np.flatnonzero((out.min(axis=1) < 0.0) | (out.max(axis=1) > 1.0))
+    if leaves.size:
+        row, moving, on = rows[leaves], shift[leaves], support[leaves]
+        lo = np.where(on, row / np.maximum(-moving, 1e-300), np.inf).min(axis=1)
+        hi = np.where(on, (1.0 - row) / np.maximum(moving, 1e-300), np.inf).min(axis=1)
+        out[leaves] = row + moving * np.minimum(1.0, np.minimum(lo, hi))[:, None]
+    return out.reshape(mdp.transitions.shape)
 
 
 def qvi5(
@@ -396,6 +357,8 @@ def qvi5(
     _validate_delta(delta)
     if not 0 < eta < 0.5:
         raise InfeasibleParams(f"eta must be in (0, 1/2), got {eta!r}")
+    if not 0 <= perturb_scale <= 1:
+        raise InfeasibleParams(f"perturb_scale must be in [0, 1], got {perturb_scale!r}")
     positive = mdp.transitions[mdp.transitions > 0]
     if positive.size and positive.min() < eta - 1e-12:
         raise InfeasibleParams(
@@ -411,16 +374,8 @@ def qvi5(
     per_call = provider.qme1_call_cost(float(horizon), eps_call, zeta) * multiplier
     perturbed = perturbed_transitions(mdp, conversion_eps, provider.rng, perturb_scale)
     return _offset_recursion(
-        "qvi5",
-        mdp,
-        perturbed,
-        lambda p, v_next: provider.mean_bounded(p, v_next, float(horizon), eps_call, zeta),
-        eps / (2.0 * horizon),
-        zeta_qms,
-        provider,
-        ledger,
-        per_call,
-        oracle="quantum_mdp",
+        "qvi5", mdp, perturbed, provider.mean_bounded, (float(horizon), eps_call, zeta),
+        eps / (2.0 * horizon), zeta_qms, provider, ledger, per_call, oracle="quantum_mdp",
         params=_offset_params(
             provider, eps, delta, qms_budget_mode, eta=eta, perturb_scale=perturb_scale
         ),
@@ -446,11 +401,11 @@ def qvi4(
     """Near-optimal policy, values, and Q tables via the epoch scheme.
 
     Runs K = ceil(log2(H/eps)) + 1 epochs with error targets halving each
-    epoch.  Per epoch, one backward sweep; step h estimates, for each (s, a),
-    a clipped variance (two range-bounded mean estimations), the reference
-    expectation at a variance-scaled error (the estimated deviation doubles
-    as the variance bound, so the bound/error ratio is a constant) and the
-    correction expectation, then makes a monotone update that never lets
+    epoch.  Per epoch, one backward sweep; step h estimates, for all (s, a)
+    in one call each, a clipped variance (two range-bounded estimations), the
+    reference expectation at a variance-scaled error (the estimated deviation
+    doubles as the variance bound, so the bound/error ratio is a constant) and
+    the correction expectation, then makes a monotone update that never lets
     values regress below the epoch-start reference.  The reference terms
     depend only on the epoch-start values, so each step can make them.
     """
@@ -465,8 +420,6 @@ def qvi4(
     v = np.zeros((horizon + 1, n_s))
     pi = np.zeros((n_s, horizon), dtype=np.int64)
     q = np.zeros((horizon, n_s, n_a))
-    x = np.empty((n_s, n_a))  # offset estimates of the reference expectation
-    g = np.empty((n_s, n_a))  # offset estimates of the correction expectation
     trace = _Trace(ledger)
     for k in range(epochs):
         eps_k = horizon / 2.0**k
@@ -475,40 +428,23 @@ def qvi4(
         v = np.zeros((horizon + 1, n_s))
         pi = np.zeros((n_s, horizon), dtype=np.int64)
         for h in range(horizon - 1, -1, -1):
-            trace.open()
-            ref = v_start[h + 1]
-            ref_sq = ref * ref
-            correction = v[h + 1] - ref
-            failed_estimates = 0
-            for s in range(n_s):
-                for a in range(n_a):
-                    p = mdp.transitions[h, s, a]
-                    second = provider.mean_bounded(p, ref_sq, float(horizon) ** 2, b, zeta, ledger)
-                    first = provider.mean_bounded(p, ref, float(horizon), b / horizon, zeta, ledger)
-                    spread = math.sqrt(max(second.value - first.value**2, 0.0) + 4.0 * b)
-                    err = c * eps / horizon**1.5 * spread
-                    ref_est = provider.mean_with_variance_bound(p, ref, spread, err, zeta, ledger)
-                    corr_est = provider.mean_bounded(p, correction, 2.0 * eps_k, err_g, zeta, ledger)
-                    x[s, a] = ref_est.value - err
-                    g[s, a] = corr_est.value - err_g
-                    failed_estimates += (
-                        second.failed + first.failed + ref_est.failed + corr_est.failed
-                    )
-            q[h] = np.maximum(mdp.rewards[h] + x + g, 0.0)
+            p, ref = mdp.transitions[h], v_start[h + 1]
+            second = provider.mean_bounded(p, ref * ref, float(horizon) ** 2, b, zeta, ledger)
+            first = provider.mean_bounded(p, ref, float(horizon), b / horizon, zeta, ledger)
+            spread = np.sqrt(np.maximum(second.value - first.value**2, 0.0) + 4.0 * b)
+            err = c * eps / horizon**1.5 * spread
+            x = provider.mean_with_variance_bound(p, ref, spread, err, zeta, ledger)
+            g = provider.mean_bounded(p, v[h + 1] - ref, 2.0 * eps_k, err_g, zeta, ledger)
+            q[h] = np.maximum(mdp.rewards[h] + (x.value - err) + (g.value - err_g), 0.0)
             greedy = q[h].argmax(axis=1)
             greedy_v = np.minimum(q[h][idx, greedy], float(horizon))
             keep = greedy_v <= v_start[h]
             v[h] = np.where(keep, v_start[h], greedy_v)
             pi[:, h] = np.where(keep, pi_start[:, h], greedy)
-            trace.close(k, h, failed_estimates, 0, v[h])
-    params = {
-        "eps": eps,
-        "delta": delta,
-        "c": c,
-        "b": b,
-        "epochs": epochs,
-        "noise_mode": provider.config.noise_mode,
-    }
+            failed = sum(int(np.count_nonzero(e.failed)) for e in (second, first, x, g))
+            trace.close(k, h, failed, 0, v[h])
+    params = {"eps": eps, "delta": delta, "c": c, "b": b, "epochs": epochs,
+              "noise_mode": provider.config.noise_mode}
     return _result(
         "qvi4", pi, v, np.clip(q, 0.0, float(horizon)), ledger, provider, params, trace
     )

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qvilab import (
+    ORACLES,
     ContractViolation,
     Qme2ContractError,
     QueryLedger,
@@ -20,6 +24,7 @@ from qvilab import (
     qms_emulated,
     qms_query_count,
 )
+from qvilab.emulation import NOISE_MODES
 
 CFG = SubroutineConfig(rng_seed=0)
 EXACT = SubroutineConfig(noise_mode="exact", rng_seed=0)
@@ -229,14 +234,14 @@ def test_btp_rejects_bad_eta():
 # Each mean estimator on a (p, f) pair with f in [0, 1], which meets every
 # estimator's preconditions (sigma_bound = 1/2 bounds the deviation of any such f).
 ESTIMATORS = {
-    "qme1": lambda p, f, eps, delta, config, rng: qme1_emulated(
-        (p, f), 1.0, eps, delta, config, rng=rng
+    "qme1": lambda p, f, eps, delta, config, rng, ledger=None: qme1_emulated(
+        (p, f), 1.0, eps, delta, config, rng=rng, ledger=ledger
     ),
-    "qme2": lambda p, f, eps, delta, config, rng: qme2_emulated(
-        (p, f), 0.5, eps, delta, config, rng=rng
+    "qme2": lambda p, f, eps, delta, config, rng, ledger=None: qme2_emulated(
+        (p, f), 0.5, eps, delta, config, rng=rng, ledger=ledger
     ),
-    "qmebo": lambda p, f, eps, delta, config, rng: qmebo_emulated(
-        p, f, eps, delta, config, rng=rng
+    "qmebo": lambda p, f, eps, delta, config, rng, ledger=None: qmebo_emulated(
+        p, f, eps, delta, config, rng=rng, ledger=ledger
     ),
 }
 
@@ -342,3 +347,121 @@ def test_ledger_merge_and_exports():
         a.charge("nonexistent", 1)
     with pytest.raises(ValueError):
         a.charge("quantum_mdp", -1)
+
+
+# ---------------------------------------------------------------------------
+# the batch contract: one call over a stack of rows
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=12, deadline=None)
+BATCH_DELTA = 0.3
+
+# Each estimator's count for one row of N entries at error eps (with the
+# bounds ESTIMATORS uses), and the oracles it charges.
+PER_CALL = {
+    "qme1": (lambda n, eps, config: qme1_query_count(1.0, eps, BATCH_DELTA, config),
+             ("quantum_generative",)),
+    "qme2": (lambda n, eps, config: qme2_query_count(0.5, eps, BATCH_DELTA, config),
+             ("quantum_generative",)),
+    "qmebo": (lambda n, eps, config: qmebo_query_count(n, eps, BATCH_DELTA, config),
+              ("dist_binary", "func_binary")),
+}
+
+
+@st.composite
+def stacks(draw):
+    """A stack of distributions (shape () is one row), a function in [0, 1],
+    an eps that is a scalar or one value per row, and a seed."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    n = draw(st.integers(1, 6))
+    weights = draw(hnp.arrays(np.float64, shape + (n,), elements=st.floats(0.0, 1.0)))
+    weights += weights.sum(axis=-1, keepdims=True) == 0  # no all-zero row
+    f = draw(hnp.arrays(np.float64, (n,), elements=st.floats(0.0, 1.0)))
+    eps = draw(st.one_of(
+        st.floats(0.01, 0.5), hnp.arrays(np.float64, shape, elements=st.floats(0.01, 0.5))))
+    return weights / weights.sum(axis=-1, keepdims=True), f, eps, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("injection", [False, True], ids=["faithful", "inject"])
+@pytest.mark.parametrize("mode", NOISE_MODES)
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@PROPERTY
+@given(stack=stacks())
+def test_batch_estimates_meet_the_contract_row_by_row(estimator, mode, injection, stack):
+    p, f, eps, seed = stack
+    call, (per_call, oracles) = ESTIMATORS[estimator], PER_CALL[estimator]
+    config = SubroutineConfig(noise_mode=mode, failure_injection=injection, debug_checks=True)
+    ledger = QueryLedger()
+    est = call(p, f, eps, BATCH_DELTA, config, np.random.default_rng(seed), ledger)
+
+    shape = p.shape[:-1]
+    true = p.reshape(-1, f.size) @ f
+    row_eps = np.broadcast_to(eps, shape).reshape(-1)
+    value, failed = np.reshape(est.value, -1), np.reshape(est.failed, -1)
+    assert np.shape(est.value) == np.shape(est.failed) == np.shape(est.true_mean) == shape
+    np.testing.assert_allclose(np.reshape(est.true_mean, -1), true, rtol=0, atol=1e-12)
+    ok = ~failed
+    assert (np.abs(value[ok] - true[ok]) <= row_eps[ok] + 1e-12).all()
+    if mode == "adversarial_low":
+        assert (value[ok] <= true[ok] + 1e-12).all()
+    if mode == "adversarial_high":
+        assert (value[ok] >= true[ok] - 1e-12).all()
+    assert ((f.min() <= value[failed]) & (value[failed] <= f.max())).all()
+    if not injection:
+        assert not failed.any()
+
+    charged = sum(per_call(f.size, float(e), config) for e in row_eps)
+    assert est.charged_queries == charged
+    assert ledger.as_dict() == dict.fromkeys(ORACLES, 0) | dict.fromkeys(oracles, charged)
+
+    # The draw protocol, replayed row by row: failure uniforms, failed values,
+    # then the other rows' noise, each in C order.
+    rng = np.random.default_rng(seed)
+    replay_failed = np.array([injection and rng.random() < BATCH_DELTA for _ in true])
+    replay = true.copy()
+    for i in np.flatnonzero(replay_failed):
+        replay[i] = rng.uniform(f.min(), f.max())
+    for i in np.flatnonzero(~replay_failed):
+        if mode == "uniform_interval":
+            replay[i] += rng.uniform(-row_eps[i], row_eps[i])
+        elif mode != "exact":
+            replay[i] += row_eps[i] if mode == "adversarial_high" else -row_eps[i]
+    np.testing.assert_array_equal(failed, replay_failed)
+    np.testing.assert_allclose(value, replay, rtol=0, atol=1e-12)
+
+    if not injection:  # a stack draws what its rows' one-row calls draw, in C order
+        rng = np.random.default_rng(seed)
+        rows = [call(row, f, e, BATCH_DELTA, config, rng) for row, e in
+                zip(p.reshape(-1, f.size), row_eps)]
+        np.testing.assert_allclose(value, [r.value for r in rows], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("injection", [False, True], ids=["faithful", "inject"])
+@PROPERTY
+@given(
+    values=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+        elements=st.integers(0, 3).map(float),  # small integers, so rows have ties
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_search_returns_each_rows_first_argmax(injection, values, seed):
+    config = SubroutineConfig(failure_injection=injection)
+    ledger = QueryLedger()
+    picked = qms_emulated(values, BATCH_DELTA, config, np.random.default_rng(seed), ledger,
+                          cost_per_query=3)
+    n = values.shape[-1]
+    assert np.shape(picked) == values.shape[:-1]
+    assert ((0 <= np.asarray(picked)) & (np.asarray(picked) < n)).all()
+    # the draw protocol: failure uniforms first, then the failed rows' indices
+    rng = np.random.default_rng(seed)
+    replay = values.reshape(-1, n).argmax(axis=1)
+    if injection:
+        failed = rng.random(replay.size) < BATCH_DELTA
+        replay[failed] = rng.integers(n, size=np.count_nonzero(failed))
+    else:
+        np.testing.assert_array_equal(picked, values.argmax(axis=-1))
+    np.testing.assert_array_equal(np.reshape(picked, -1), replay)
+    rows = math.prod(values.shape[:-1])
+    assert ledger.count("func_binary") == rows * 3 * qms_query_count(n, BATCH_DELTA, config)

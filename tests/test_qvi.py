@@ -27,7 +27,7 @@ from qvilab import (
     random_mdp,
     solve,
 )
-from qvilab.emulation import btp_multiplier
+from qvilab.emulation import NOISE_MODES, btp_multiplier
 from qvilab.instances import HardInstanceSpec, hard_instance_optimal_start_values, make_hard_instance
 from qvilab.qvi import perturbed_transitions
 
@@ -96,9 +96,19 @@ def test_qvi1_ledger_bound_with_frozen_constant():
         assert ledger.total <= bound
 
 
-def test_qvi1_accounting_replay():
+# The ledger must not depend on draws: every accounting replay runs under each
+# noise mode, with failure injection off and on.
+CONFIGS = {
+    f"{mode}-{'inject' if injection else 'faithful'}":
+        SubroutineConfig(rng_seed=0, noise_mode=mode, failure_injection=injection)
+    for mode in NOISE_MODES for injection in (False, True)
+}
+DRAW_CONFIGS = pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+
+
+@DRAW_CONFIGS
+def test_qvi1_accounting_replay(config):
     mdp = random_mdp(4, 5, 3, seed=2)
-    config = SubroutineConfig(rng_seed=0)
     ledger = QueryLedger()
     qvi1(mdp, 0.2, EmulatedProvider(config), ledger)
     probes = qms_query_count(5, 0.2 / (4 * 3), config)
@@ -145,19 +155,19 @@ def test_qvi2_adversarial_modes_keep_sandwich(mode):
 
 def test_qvi2_accounting_replay_and_budget_modes():
     mdp = random_mdp(4, 3, 3, seed=1)
-    config = SubroutineConfig(rng_seed=0)
     delta = 0.1
     zeta = delta / (4 * 1.0 * 4 * 3**1.5 * 3 * math.log(1 / delta))
-    per_call = qmebo_query_count(4, 0.3 / (2 * 3**2), zeta, config)
-    totals = {}
-    for mode, budget in (("per_state", delta / 12), ("literal", delta)):
-        ledger = QueryLedger()
-        qvi2(mdp, 0.3, delta, EmulatedProvider(config), ledger, qms_budget_mode=mode)
-        probes = qms_query_count(3, budget, config)
-        assert ledger.count("quantum_mdp") == 4 * 3 * probes * per_call
-        assert ledger.count("func_binary") == ledger.count("quantum_mdp")
-        totals[mode] = ledger.total
-    assert totals["literal"] < totals["per_state"]
+    for config in CONFIGS.values():
+        per_call = qmebo_query_count(4, 0.3 / (2 * 3**2), zeta, config)
+        totals = {}
+        for mode, budget in (("per_state", delta / 12), ("literal", delta)):
+            ledger = QueryLedger()
+            qvi2(mdp, 0.3, delta, EmulatedProvider(config), ledger, qms_budget_mode=mode)
+            probes = qms_query_count(3, budget, config)
+            assert ledger.count("quantum_mdp") == 4 * 3 * probes * per_call
+            assert ledger.count("func_binary") == ledger.count("quantum_mdp")
+            totals[mode] = ledger.total
+        assert totals["literal"] < totals["per_state"]
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +191,9 @@ def test_qvi3_sandwich_on_seeded_suite():
         assert sandwich_holds(mdp, result, 0.3)
 
 
-def test_qvi3_accounting_replay():
+@DRAW_CONFIGS
+def test_qvi3_accounting_replay(config):
     mdp = random_mdp(4, 3, 3, seed=1)
-    config = SubroutineConfig(rng_seed=0)
     delta = 0.1
     ledger = QueryLedger()
     qvi3(mdp, 0.3, delta, EmulatedProvider(config), ledger)
@@ -214,7 +224,11 @@ def test_qvi3_halving_eps_doubles_ledger_within_twenty_percent():
 
 
 class RecordingProvider(EmulatedProvider):
-    """Records (method name, positional arguments, estimate) of every estimator call."""
+    """Records (method name, positional arguments, estimate) of every estimator call.
+
+    The algorithms make one call per estimator kind and backward step, over
+    the step's (S, A) stack of rows, so each record holds (S, A) arrays.
+    """
 
     def __init__(self, config):
         super().__init__(config)
@@ -241,10 +255,12 @@ def test_qvi3_offset_estimates_are_one_sided():
     prov = RecordingProvider(SubroutineConfig(rng_seed=2))
     qvi3(mdp, eps, 0.1, prov, QueryLedger())
     per_call = eps / (2 * mdp.horizon)
-    assert prov.calls
+    assert len(prov.calls) == mdp.horizon
     for _, _, est in prov.calls:
+        assert est.value.shape == (mdp.num_states, mdp.num_actions)
         z = est.value - per_call
-        assert est.true_mean - 2 * per_call - 1e-12 <= z <= est.true_mean + 1e-12
+        assert (est.true_mean - 2 * per_call - 1e-12 <= z).all()
+        assert (z <= est.true_mean + 1e-12).all()
 
 
 def test_qvi2_offset_estimates_are_one_sided():
@@ -254,11 +270,13 @@ def test_qvi2_offset_estimates_are_one_sided():
     horizon = mdp.horizon
     prov = RecordingProvider(SubroutineConfig(rng_seed=5))
     qvi2(mdp, eps, 0.1, prov, QueryLedger())
-    assert prov.calls
+    assert len(prov.calls) == horizon
     for _, _, est in prov.calls:
+        assert est.value.shape == (mdp.num_states, mdp.num_actions)
         z = horizon * est.value - eps / (2 * horizon)
         true = horizon * est.true_mean
-        assert true - eps / horizon - 1e-12 <= z <= true + 1e-12
+        assert (true - eps / horizon - 1e-12 <= z).all()
+        assert (z <= true + 1e-12).all()
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +311,20 @@ def test_qvi4_value_and_q_sandwich_on_seeded_suite():
 def test_qvi4_epoch_zero_variance_estimates_stay_in_band():
     # Epoch 0's reference values are zero, so its variance calls are told
     # apart by their range: u = H^2 for the second moment, u = H for the
-    # first (the correction call has u = 2H).
+    # first (the correction call has u = 2H).  Each call covers one step's
+    # (S, A) rows.
     mdp = random_mdp(4, 3, 5, seed=3)
     prov = RecordingProvider(SubroutineConfig(rng_seed=1))
     result = qvi4(mdp, 0.5, 0.1, prov, QueryLedger())
     b, horizon = result.params["b"], mdp.horizon
-    epoch_zero = prov.calls[: 4 * mdp.num_states * mdp.num_actions * horizon]
+    epoch_zero = prov.calls[: 4 * horizon]
     second = [est.value for name, args, est in epoch_zero
               if name == "mean_bounded" and args[2] == horizon**2]
     first = [est.value for name, args, est in epoch_zero
              if name == "mean_bounded" and args[2] == horizon]
-    assert len(second) == len(first) == mdp.num_states * mdp.num_actions * horizon
+    assert len(second) == len(first) == horizon
     y = np.maximum(np.array(second) - np.array(first) ** 2, 0.0)
+    assert y.shape == (horizon, mdp.num_states, mdp.num_actions)
     band = b + 2 * b / horizon + (b / horizon) ** 2
     assert y.max() <= band
 
@@ -320,13 +340,14 @@ def test_qvi4_reference_values_grow_monotonically():
 
 
 def test_qvi4_offset_estimators_are_one_sided():
-    # Per (h, s, a) qvi4 makes four calls: two variance calls, the reference
-    # call x (its only variance-bounded call) and then the correction call g,
-    # whose range is u = 2 eps_k.  x and g are the offset estimates.
+    # Per step qvi4 makes four calls, each over the step's (S, A) rows: two
+    # variance calls, the reference call x (its only variance-bounded call,
+    # with one error target per row) and then the correction call g, whose
+    # range is u = 2 eps_k.  x and g are the offset estimates.
     mdp = random_mdp(4, 3, 4, seed=7)
     prov = RecordingProvider(SubroutineConfig(rng_seed=9))
     result = qvi4(mdp, 0.4, 0.1, prov, QueryLedger())
-    per_epoch = 4 * mdp.num_states * mdp.num_actions * mdp.horizon
+    per_epoch = 4 * mdp.horizon
     assert len(prov.calls) == result.params["epochs"] * per_epoch
     checked = 0
     for i, (name, args, est) in enumerate(prov.calls):
@@ -336,12 +357,14 @@ def test_qvi4_offset_estimators_are_one_sided():
         assert g_name == "mean_bounded" and g_args[2] == 2 * mdp.horizon / 2 ** (i // per_epoch)
         for eps_call, e in ((args[3], est), (g_args[3], g_est)):
             z = e.value - eps_call
-            assert e.true_mean - 2 * eps_call - 1e-12 <= z <= e.true_mean + 1e-12
-            checked += 1
-    assert checked == len(prov.calls) // 2
+            assert (e.true_mean - 2 * eps_call - 1e-12 <= z).all()
+            assert (z <= e.true_mean + 1e-12).all()
+            checked += e.value.size
+    assert checked == len(prov.calls) // 2 * mdp.num_states * mdp.num_actions
 
 
-def test_qvi4_accounting_replay():
+@DRAW_CONFIGS
+def test_qvi4_accounting_replay(config):
     # Ledger equals the closed-form accounting: per epoch and (s, a, h), two
     # range-bounded estimates for the variance proxy, one variance-bounded
     # estimate at a bound/error ratio that is constant, and one correction
@@ -349,7 +372,6 @@ def test_qvi4_accounting_replay():
     from qvilab import qme2_query_count
 
     mdp = random_mdp(4, 3, 4, seed=3)
-    config = SubroutineConfig(rng_seed=0)
     eps, delta = 0.4, 0.1
     ledger = QueryLedger()
     qvi4(mdp, eps, delta, EmulatedProvider(config), ledger)
@@ -409,16 +431,16 @@ def test_perturbed_transitions_respect_bound_and_support():
 
 def test_qvi5_accounting_includes_conversion_multiplier():
     mdp = sparse_chain(5, 3, 3, seed=7)
-    config = SubroutineConfig(rng_seed=0)
     delta, eps, eta = 0.1, 0.5, 0.3
-    ledger = QueryLedger()
-    qvi5(mdp, eps, delta, eta, EmulatedProvider(config), ledger)
     zeta = delta / (4 * 5 * 3**1.5 * 3 * math.log(1 / delta))
-    per_call = qme1_query_count(3.0, eps / (4 * 3), zeta, config)
-    multiplier = btp_multiplier(eps / (4 * 5 * 3**2), eta)
-    probes = qms_query_count(3, delta / 15, config)
-    assert ledger.count("quantum_mdp") == 5 * 3 * probes * per_call * multiplier
-    assert ledger.count("oracle_conversion") == 1
+    for config in CONFIGS.values():
+        ledger = QueryLedger()
+        qvi5(mdp, eps, delta, eta, EmulatedProvider(config), ledger)
+        per_call = qme1_query_count(3.0, eps / (4 * 3), zeta, config)
+        multiplier = btp_multiplier(eps / (4 * 5 * 3**2), eta)
+        probes = qms_query_count(3, delta / 15, config)
+        assert ledger.count("quantum_mdp") == 5 * 3 * probes * per_call * multiplier
+        assert ledger.count("oracle_conversion") == 1
 
 
 def test_qvi5_beats_qvi2_ledger_on_wide_sparse_instance():
@@ -534,7 +556,7 @@ def test_trace_counts_injected_failures(algo):
         result = solve(algo, mdp, prov, QueryLedger(), eps=0.5, delta=0.97, eta=0.3)
         failed_estimates += sum(r.failed_estimates for r in result.trace)
         failed_searches += sum(r.failed_searches for r in result.trace)
-        drawn += sum(est.failed for _, _, est in prov.calls)
+        drawn += sum(int(np.count_nonzero(est.failed)) for _, _, est in prov.calls)
     assert failed_estimates == drawn
     assert (failed_estimates > 0) == (algo != "qvi1")  # qvi1 estimates nothing
     assert (failed_searches > 0) == (algo != "qvi4")  # qvi4 takes a classical argmax
@@ -567,14 +589,22 @@ FEASIBLE = dict(eps=0.3, delta=0.1, eta=0.05)
         ("qvi5", dict(eta=0.6), "eta must be in (0, 1/2)"),
         ("qvi5", dict(eta=0.45), "not a lower bound"),
         ("qvi5", dict(delta=0.999, eta=0.01), "estimator failure budget"),
+        ("qvi5", dict(eta=0.01, perturb_scale=2.0), "perturb_scale must be in [0, 1]"),
+        ("qvi5", dict(eta=0.01, perturb_scale=-1.0), "perturb_scale must be in [0, 1]"),
+        ("qvi5", dict(eta=0.01, perturb_scale=math.nan), "perturb_scale must be in [0, 1]"),
     ],
 )
 def test_infeasible_params_raise_before_any_charge_or_draw(algo, bad, reason):
     mdp = random_mdp(2, 2, 2, seed=0)
     prov, ledger = provider(0), QueryLedger()
     rng_state = prov.rng.bit_generator.state
+    params = FEASIBLE | bad
     with pytest.raises(InfeasibleParams) as err:
-        solve(algo, mdp, prov, ledger, **(FEASIBLE | bad))
+        if "perturb_scale" in params:  # a qvi5 keyword that solve does not pass
+            qvi5(mdp, params["eps"], params["delta"], params["eta"], prov, ledger,
+                 perturb_scale=params["perturb_scale"])
+        else:
+            solve(algo, mdp, prov, ledger, **params)
     assert reason in str(err.value)
     assert ledger.total == 0
     assert prov.rng.bit_generator.state == rng_state
