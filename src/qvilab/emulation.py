@@ -328,6 +328,27 @@ def qme2_emulated(
     return _estimate(p, f, charged, eps, delta, config, rng, ledger, (oracle,))
 
 
+def check_binary_query(p, f) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (..., N) and function (N,) of a binary-oracle mean query, checked.
+
+    Every row must be a probability vector and every function value must lie
+    in [0, 1]; raises :class:`ContractViolation` otherwise.
+    """
+    probs, values = _stack(p, f)
+    if ((probs < -STOCHASTICITY_TOL) | (probs > 1.0 + STOCHASTICITY_TOL)).any():
+        raise ContractViolation("probabilities must lie in [0, 1]")
+    sums = np.reshape(probs.sum(axis=-1), -1)
+    off = np.abs(sums - 1.0)
+    if (off > STOCHASTICITY_TOL).any():
+        raise ContractViolation(f"probabilities sum to {float(sums[off.argmax()])!r}, not 1")
+    if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
+        raise ContractViolation(
+            f"function values must lie in [0, 1]; observed range "
+            f"[{values.min()!r}, {values.max()!r}]"
+        )
+    return probs, values
+
+
 def qmebo_emulated(
     p,
     f: Sequence[float],
@@ -343,18 +364,7 @@ def qmebo_emulated(
     Every row of ``p`` must be a probability vector.  Charges the same query
     count to the distribution oracle and the function oracle.
     """
-    probs, values = _stack(p, f)
-    if ((probs < -STOCHASTICITY_TOL) | (probs > 1.0 + STOCHASTICITY_TOL)).any():
-        raise ContractViolation("probabilities must lie in [0, 1]")
-    sums = np.reshape(probs.sum(axis=-1), -1)
-    off = np.abs(sums - 1.0)
-    if (off > STOCHASTICITY_TOL).any():
-        raise ContractViolation(f"probabilities sum to {float(sums[off.argmax()])!r}, not 1")
-    if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
-        raise ContractViolation(
-            f"function values must lie in [0, 1]; observed range "
-            f"[{values.min()!r}, {values.max()!r}]"
-        )
+    probs, values = check_binary_query(p, f)
     charged = _batch_count(
         lambda e: qmebo_query_count(values.size, e, delta, config), eps, probs.shape[:-1]
     )

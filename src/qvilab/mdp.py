@@ -140,8 +140,24 @@ class FiniteHorizonMdp:
         return mdp
 
     def save(self, path) -> None:
+        """Write ``json.dumps(self.to_json())``, one item of each list at a time.
+
+        ``json.dumps`` runs CPython's C encoder (``json.dump`` only the Python
+        one); writing the text piece by piece keeps the whole of it out of
+        memory, so saving needs no more than the lists of ``to_json``.
+        """
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
+            fh.write("{")
+            for i, (key, value) in enumerate(self.to_json().items()):
+                fh.write((", " if i else "") + json.dumps(key) + ": ")
+                if not isinstance(value, list):
+                    fh.write(json.dumps(value))
+                    continue
+                fh.write("[")
+                for j, item in enumerate(value):
+                    fh.write((", " if j else "") + json.dumps(item))
+                fh.write("]")
+            fh.write("}")
 
     @classmethod
     def load(cls, path) -> "FiniteHorizonMdp":

@@ -12,14 +12,13 @@ bit.  Concurrent runs must use separate providers with split seeds.
 """
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
 from . import emulation as em
 from .ledger import QueryLedger
-from .statevector import FixedPointFormat, ae_repetitions, qmebo_exact
+from .statevector import FixedPointFormat, _index_width, ae_repetitions, qmebo_exact
 
 
 class EmulatedProvider:
@@ -129,25 +128,25 @@ class StatevectorProvider(EmulatedProvider):
         ledger: Optional[QueryLedger] = None,
         oracles: tuple[str, str] = ("dist_binary", "func_binary"),
     ) -> em.NoisyEstimate:
-        """One statevector estimation per row of ``probabilities``, in C order."""
-        probabilities = np.asarray(probabilities, dtype=np.float64)
-        shape = probabilities.shape[:-1]
-        rows = probabilities.reshape(-1, probabilities.shape[-1])
-        row_eps = np.broadcast_to(eps, shape).reshape(-1)
-        runs = [
-            qmebo_exact(row, values, float(e), delta, self.fmt, self.rng, ledger=None,
-                        kappa=self.config.powering_repeats, t_rule=self.t_rule)
-            for row, e in zip(rows, row_eps)
-        ]
-        charged = sum(2 * run.grover_powers * run.repeats for run in runs)
+        """Statevector estimation of every row of ``probabilities`` in one call.
+
+        One ``qmebo_exact`` call prepares the rows on their support and builds
+        their outcome laws together.  Draw protocol: each row draws its K
+        amplitude-estimation outcomes with one ``rng.choice(T, size=K, p=law)``,
+        row after row in C order, and nothing else is drawn (no failures are
+        injected), so a stack draws what its rows' one-row calls draw.
+        """
+        run = qmebo_exact(probabilities, values, eps, delta, self.fmt, self.rng,
+                          kappa=self.config.powering_repeats, t_rule=self.t_rule)
+        charged = 2 * int(np.sum(run.grover_powers)) * run.repeats
         em._bill(ledger, oracles, charged)
         return em.NoisyEstimate(
-            value=em._shaped(np.array([run.estimate for run in runs]), shape),
+            value=np.asarray(run.estimate)[()],
             charged_queries=charged,
-            failed=em._shaped(np.zeros(len(runs), dtype=bool), shape),
-            true_mean=em._shaped(np.array([run.true_mean for run in runs]), shape),
+            failed=np.zeros(np.shape(run.estimate), dtype=bool)[()],
+            true_mean=np.asarray(run.true_mean)[()],
         )
 
     def qmebo_call_cost(self, n: int, eps: float, delta: float) -> int:
-        padded = 2 ** max(1, math.ceil(math.log2(n)))
+        padded = 2 ** _index_width(n)
         return 2 * ae_repetitions(padded, eps, self.t_rule) * em._repeats(delta, self.config)

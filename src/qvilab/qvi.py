@@ -311,8 +311,9 @@ def perturbed_transitions(
     per row), and entries stay within [0, 1].  ``scale`` in [0, 1] shrinks the
     perturbation; 0 returns the exact tables.  Every row with two or more
     supported entries draws one uniform shift per supported entry, in C
-    order, recentres the shifts to sum to zero, and shrinks them by one
-    factor if an entry would leave [0, 1].
+    order, and recentres the shifts to sum to zero.  If an entry would then
+    leave [0, 1], the row's shifts shrink by half the factor that would put
+    its extreme entry on 0 or 1, so that entry stays strictly inside (0, 1).
     """
     if scale == 0.0 or bound == 0.0:
         return np.array(mdp.transitions)
@@ -323,16 +324,18 @@ def perturbed_transitions(
     support[size < 2] = False
     shift = np.zeros_like(rows)
     # the values rng.uniform(-width / 2, width / 2) returns, drawn faster
-    shift[support] = width * rng.random(np.count_nonzero(support)) - width / 2.0
+    shift[support] = rng.random(np.count_nonzero(support))
+    shift *= width
+    np.subtract(shift, width / 2.0, out=shift, where=support)
     mean = shift.sum(axis=1) / np.maximum(size, 1)
     np.subtract(shift, mean[:, None], out=shift, where=support)
     out = rows + shift
-    leaves = np.flatnonzero((out.min(axis=1) < 0.0) | (out.max(axis=1) > 1.0))
+    leaves = np.unique(np.flatnonzero((out < 0.0) | (out > 1.0)) // mdp.num_states)
     if leaves.size:
         row, moving, on = rows[leaves], shift[leaves], support[leaves]
         lo = np.where(on, row / np.maximum(-moving, 1e-300), np.inf).min(axis=1)
         hi = np.where(on, (1.0 - row) / np.maximum(moving, 1e-300), np.inf).min(axis=1)
-        out[leaves] = row + moving * np.minimum(1.0, np.minimum(lo, hi))[:, None]
+        out[leaves] = row + moving * np.minimum(1.0, 0.5 * np.minimum(lo, hi))[:, None]
     return out.reshape(mdp.transitions.shape)
 
 
@@ -359,11 +362,11 @@ def qvi5(
         raise InfeasibleParams(f"eta must be in (0, 1/2), got {eta!r}")
     if not 0 <= perturb_scale <= 1:
         raise InfeasibleParams(f"perturb_scale must be in [0, 1], got {perturb_scale!r}")
-    positive = mdp.transitions[mdp.transitions > 0]
-    if positive.size and positive.min() < eta - 1e-12:
+    smallest = np.min(mdp.transitions, where=mdp.transitions > 0, initial=np.inf)
+    if smallest < eta - 1e-12:
         raise InfeasibleParams(
             f"eta={eta!r} is not a lower bound: smallest supported probability is "
-            f"{float(positive.min())!r}"
+            f"{float(smallest)!r}"
         )
     n_s, horizon = mdp.num_states, mdp.horizon
     zeta = _estimator_budget(mdp, delta, provider.config.qms_constant)

@@ -7,6 +7,12 @@ mean, phase-estimation-based amplitude estimation, and median boosting.  It
 exists to verify the query-model emulation layer's contracts on instances
 small enough to simulate exactly.
 
+The prepared state is held on its support: the value register is uncomputed
+to |0>, so of the 2**(n+q+2) amplitudes over index (n qubits), dist_flag,
+value (q qubits) and rot_flag only the 4 * 2**n of :func:`psi2_support` can be
+nonzero.  :func:`qmebo_exact` estimates a stack of rows from them in one call;
+:func:`prepare_psi2` scatters them into the full register for circuit checks.
+
 Amplitude estimation comes in two modes:
 
 * ``subspace_exact`` reduces to the two-dimensional invariant subspace of the
@@ -25,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from .emulation import check_binary_query
 from .ledger import QueryLedger
 from .mdp import as_probability_vector
 
@@ -179,7 +186,7 @@ class BinaryOracleSpec:
 
     @property
     def index_width(self) -> int:
-        return max(1, math.ceil(math.log2(self.domain_size)))
+        return _index_width(self.domain_size)
 
     def words(self) -> np.ndarray:
         return self.fmt.encode(self.values)
@@ -207,15 +214,15 @@ class BinaryOracleSpec:
         return out
 
 
-def _pad_to_power_of_two(p: np.ndarray, f: Optional[np.ndarray] = None):
-    n = p.size
-    width = max(1, math.ceil(math.log2(n)))
-    full = 2**width
-    if full != n:
-        p = np.concatenate([p, np.zeros(full - n)])
-        if f is not None:
-            f = np.concatenate([f, np.zeros(full - n)])
-    return (p, f, width) if f is not None else (p, width)
+def _index_width(n: int) -> int:
+    """Qubits of the index register over n outcomes (at least one)."""
+    return max(1, math.ceil(math.log2(n)))
+
+
+def _padded(x: np.ndarray) -> np.ndarray:
+    """``x`` with its last axis padded with zeros to a power of two (at least 2)."""
+    pad = 2 ** _index_width(x.shape[-1]) - x.shape[-1]
+    return np.concatenate([x, np.zeros(x.shape[:-1] + (pad,))], axis=-1)
 
 
 def _rotation_block(v: float) -> np.ndarray:
@@ -239,8 +246,8 @@ def build_up_hat(p, fmt: FixedPointFormat) -> np.ndarray:
     The distribution is padded with zeros to the next power of two.
     """
     probs = as_probability_vector(p)
-    probs, width = _pad_to_power_of_two(probs)
-    n_full = 2**width
+    probs = _padded(probs)
+    n_full, width = probs.size, _index_width(probs.size)
     nonzero = probs[probs > 0]
     if nonzero.size and fmt.resolution > nonzero.min() / 4.0:
         warnings.warn(
@@ -262,35 +269,50 @@ def build_up_hat(p, fmt: FixedPointFormat) -> np.ndarray:
     return out @ np.kron(h_n, np.eye(2))
 
 
+def psi2_support(probs: np.ndarray, values: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
+    """Amplitudes of :func:`prepare_psi2`'s state on its support, per row.
+
+    ``probs`` holds checked probability rows (..., N) and ``values`` the
+    function (N,) in [0, 1]; both are padded with zeros to 2**n entries and
+    quantized to ``fmt``.  Returns real amplitudes of shape (..., 2**n, 2, 2)
+    over (index, dist_flag, rot_flag) with the value register at 0; every
+    other amplitude of the full register is zero.  Raises ``ValueError`` if a
+    row's squared amplitudes do not sum to 1 within ``NORM_TOL``.
+    """
+    pq = fmt.quantize(_padded(probs))
+    fq = fmt.quantize(_padded(values))
+    scale = 1.0 / math.sqrt(fq.size)
+    amps = np.empty(pq.shape + (2, 2))
+    amps[..., 0, 0] = scale * np.sqrt(pq * fq)
+    amps[..., 0, 1] = scale * np.sqrt(pq * (1.0 - fq))
+    amps[..., 1, 0] = scale * np.sqrt((1.0 - pq) * fq)
+    amps[..., 1, 1] = scale * np.sqrt((1.0 - pq) * (1.0 - fq))
+    norm = np.reshape(np.sum(amps**2, axis=(-3, -2, -1)), -1)
+    off = np.abs(norm - 1.0) > NORM_TOL
+    if off.any():
+        raise ValueError(f"state is not normalized: |psi|^2 = {float(norm[off][0])!r}")
+    return amps
+
+
 def prepare_psi2(p, f, fmt: FixedPointFormat) -> PureState:
     """Product state whose flag-zero projection weight is (1/N) p.f.
 
     Registers: index (n), dist_flag (1), value (q, returned to zero after the
-    function oracle is reverted), rot_flag (1).  All amplitudes are computed
-    with the fixed-point-quantized entries, so the projection weight matches
-    (1/N) p.f up to the per-entry rounding of p and f.
+    function oracle is reverted), rot_flag (1).  The amplitudes are
+    :func:`psi2_support`'s, computed with the fixed-point-quantized entries,
+    so the projection weight matches (1/N) p.f up to the per-entry rounding
+    of p and f.
     """
-    probs = as_probability_vector(p)
-    values = np.asarray(f, dtype=np.float64).reshape(-1)
-    if values.shape != probs.shape:
-        raise ValueError("distribution and function must have the same length")
-    if values.min() < 0 or values.max() > 1:
-        raise ValueError("function values must lie in [0, 1]")
-    probs, values, width = _pad_to_power_of_two(probs, values)
-    n_full = 2**width
-    pq = fmt.quantize(probs)
-    fq = fmt.quantize(values)
+    probs, values = check_binary_query(p, f)
+    if probs.ndim != 1:
+        raise ValueError("prepare_psi2 prepares the state of one distribution")
+    support = psi2_support(probs, values, fmt)
     q = fmt.total_bits
-    registers = (("index", width), ("dist_flag", 1), ("value", q), ("rot_flag", 1))
-    amps = np.zeros(2 ** (width + q + 2), dtype=np.complex128)
     # Basis index layout: index | dist_flag | value | rot_flag.
-    base = np.arange(n_full) << (q + 2)
-    scale = 1.0 / math.sqrt(n_full)
-    amps[base + 0] = scale * np.sqrt(pq * fq)  # dist 0, rot 0
-    amps[base + 1] = scale * np.sqrt(pq * (1.0 - fq))  # dist 0, rot 1
-    flag = 1 << (q + 1)
-    amps[base + flag + 0] = scale * np.sqrt((1.0 - pq) * fq)
-    amps[base + flag + 1] = scale * np.sqrt((1.0 - pq) * (1.0 - fq))
+    amps = np.zeros((support.shape[0], 2, 2**q, 2), dtype=np.complex128)
+    amps[:, :, 0, :] = support
+    registers = (("index", _index_width(values.size)), ("dist_flag", 1), ("value", q),
+                 ("rot_flag", 1))
     return PureState(registers, amps)
 
 
@@ -456,11 +478,14 @@ def ae_repetitions(n: int, eps: float, rule: str = "quadratic") -> int:
 
 @dataclass(frozen=True)
 class QmeboExactRun:
-    """Outcome of one exact-statevector mean estimation.
+    """Outcome of exact-statevector mean estimation, for one row or a stack.
 
     ``encoding_offset`` is the exact shift of the estimation target caused by
     fixed-point rounding of the inputs: the trials concentrate around
-    ``true_mean + encoding_offset`` rather than ``true_mean``.
+    ``true_mean + encoding_offset`` rather than ``true_mean``.  For one row
+    the fields are Python numbers and ``trials`` a tuple; for a stack of rows
+    each field but ``repeats`` is an array with one entry per row, and
+    ``trials`` has shape (..., repeats).
     """
 
     estimate: float
@@ -475,7 +500,7 @@ class QmeboExactRun:
 def qmebo_exact(
     p,
     f,
-    eps: float,
+    eps,
     delta: float,
     fmt: FixedPointFormat,
     rng: np.random.Generator,
@@ -483,55 +508,56 @@ def qmebo_exact(
     kappa: float = 2.0,
     t_rule: str = "quadratic",
     mode: str = "subspace_exact",
-    state: Optional[PureState] = None,
     schedule: Optional[AEConfig] = None,
 ) -> QmeboExactRun:
     """Exact-statevector mean estimation of p.f for f in [0, 1]^N.
 
-    Runs K = ceil(kappa * ln(1/delta)) independent amplitude estimations with
-    T reflections each on the prepared product state and returns N times the
-    median.  Charges 2*T*K queries to each binary oracle.  With probability
-    at least 1 - delta the estimate is within eps of p.f up to the reported
-    encoding offset.
+    ``p`` is one distribution (N,) or a stack of them (..., N), and ``eps`` a
+    scalar or one value per row.  Each row runs K = ceil(kappa * ln(1/delta))
+    independent amplitude estimations with T reflections each on its prepared
+    product state and returns N times the median.  Charges 2*T*K queries per
+    row to each binary oracle.  With probability at least 1 - delta a row's
+    estimate is within eps of p.f up to the reported encoding offset.
 
-    Monte-Carlo callers repeating trials on one instance can pass the
-    ``prepare_psi2`` output as ``state`` to skip rebuilding it per call.  An
-    explicit ``schedule`` overrides the derived (T, K, mode) triple.
+    The rows are checked once and prepared together on their support (see
+    :func:`psi2_support`).  Then, row after row in C order, each row builds
+    its outcome law and draws its K outcomes with one ``rng.choice``, so a
+    stack draws what its rows' one-row calls draw and holds one law at a
+    time.  An explicit ``schedule`` overrides the derived (T, K, mode) triple.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    probs = as_probability_vector(p)
-    values = np.asarray(f, dtype=np.float64).reshape(-1)
-    true_mean = float(probs @ values)
-    if state is None:
-        state = prepare_psi2(probs, values, fmt)
-    n_full = 2 ** dict(state.registers)["index"]
+    probs, values = check_binary_query(p, f)
+    shape = probs.shape[:-1]
+    rows = probs.reshape(-1, values.size)
+    support = psi2_support(rows, values, fmt)
+    n_full = support.shape[1]
     if schedule is not None:
-        t, repeats, mode = schedule.grover_powers, schedule.powering_repeats, schedule.mode
+        t_row = np.full(len(rows), schedule.grover_powers)
+        repeats, mode = schedule.powering_repeats, schedule.mode
     else:
-        t = ae_repetitions(n_full, eps, rule=t_rule)
+        row_eps = np.broadcast_to(eps, shape).reshape(-1).tolist()
+        t_of = {e: ae_repetitions(n_full, e, rule=t_rule) for e in set(row_eps)}
+        t_row = np.array([t_of[e] for e in row_eps], dtype=np.int64)
         repeats = max(1, math.ceil(kappa * math.log(1.0 / delta)))
-    # Projection weight of the all-ancilla-zero subspace, via reshape (cheaper
-    # than materializing an index mask for wide value registers).
-    shape = tuple(2**width for _, width in state.registers)
-    good = state.amplitudes.reshape(shape)[:, 0, 0, 0]
-    amplitude = float(np.sum(np.abs(good) ** 2))
-    if mode == "subspace_exact":
-        dist = ae_outcome_distribution(amplitude, t)
-    else:
-        dist = ae_outcome_distribution_circuit(state, mean_projector(state), t)
-    outcomes = rng.choice(t, size=repeats, p=dist)
-    trials = tuple(estimate_from_outcome(int(y), t) for y in outcomes)
-    estimate = n_full * powering_median(trials)
+    # Each row's projection weight on the all-ancilla-zero subspace.
+    amplitude = np.array([np.sum(np.abs(good) ** 2) for good in support[:, :, 0, 0]])
+    true_mean = np.array([row @ values for row in rows])
+    trials = np.empty((len(rows), repeats))
+    for i, t in enumerate(t_row.tolist()):
+        if mode == "subspace_exact":
+            law = ae_outcome_distribution(float(amplitude[i]), t)
+        else:
+            state = prepare_psi2(rows[i], values, fmt)
+            law = ae_outcome_distribution_circuit(state, mean_projector(state), t)
+        trials[i] = [estimate_from_outcome(int(y), t) for y in rng.choice(t, size=repeats, p=law)]
+    estimate = n_full * np.array([powering_median(row) for row in trials])
     if ledger is not None:
-        ledger.charge("dist_binary", 2 * t * repeats)
-        ledger.charge("func_binary", 2 * t * repeats)
-    return QmeboExactRun(
-        estimate=float(estimate),
-        true_mean=true_mean,
-        amplitude=amplitude,
-        encoding_offset=float(n_full * amplitude - true_mean),
-        grover_powers=t,
-        repeats=repeats,
-        trials=trials,
-    )
+        charged = 2 * int(t_row.sum()) * repeats
+        ledger.charge("dist_binary", charged)
+        ledger.charge("func_binary", charged)
+    fields = (estimate, true_mean, amplitude, n_full * amplitude - true_mean, t_row)
+    if probs.ndim == 1:
+        return QmeboExactRun(*(x[0].item() for x in fields), repeats, tuple(trials[0].tolist()))
+    return QmeboExactRun(*(x.reshape(shape) for x in fields), repeats,
+                         trials.reshape(shape + (repeats,)))

@@ -71,9 +71,10 @@ def test_mdp_is_immutable_and_json_round_trips(tmp_path):
         mdp.transitions[0, 0, 0, 0] = 0.5
     path = tmp_path / "m.json"
     mdp.save(path)
+    assert path.read_text() == json.dumps(mdp.to_json())
     back = FiniteHorizonMdp.load(path)
-    np.testing.assert_array_equal(back.transitions, mdp.transitions)
-    np.testing.assert_array_equal(back.rewards, mdp.rewards)
+    assert back.transitions.tobytes() == mdp.transitions.tobytes()
+    assert back.rewards.tobytes() == mdp.rewards.tobytes()
     blob = json.loads(path.read_text())
     assert (blob["S"], blob["A"], blob["H"]) == (3, 2, 2)
 

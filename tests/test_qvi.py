@@ -429,6 +429,18 @@ def test_perturbed_transitions_respect_bound_and_support():
     assert np.abs(moved.sum(axis=3) - 1.0).max() <= 1e-12
 
 
+def test_perturbed_transitions_keep_support_when_the_shrink_fires():
+    # qvi5's conversion bound eps / (4 S H^2) = 1/8 at S = 2, H = 1, eps = 1
+    # exceeds the valid eta = 0.02, so shifts often push 0.02 below zero.
+    mdp = FiniteHorizonMdp(np.tile([0.02, 0.98], (1, 2, 1, 1)), np.zeros((1, 2, 1)))
+    bound = 1.0 / (4 * 2 * 1**2)
+    for seed in range(100):
+        moved = perturbed_transitions(mdp, bound, np.random.default_rng(seed))
+        assert ((0.0 < moved) & (moved < 1.0)).all()
+        assert np.abs(moved - mdp.transitions).max() <= bound
+        assert np.abs(moved.sum(axis=3) - 1.0).max() <= 1e-12
+
+
 def test_qvi5_accounting_includes_conversion_multiplier():
     mdp = sparse_chain(5, 3, 3, seed=7)
     delta, eps, eta = 0.1, 0.5, 0.3
@@ -466,19 +478,21 @@ def test_qvi2_runs_on_statevector_provider():
     # is probabilistic -- check the eps window and the reflection accounting.
     from qvilab import StatevectorProvider, FixedPointFormat, exact_value_iteration
 
-    mdp = random_mdp(2, 2, 2, seed=15)
-    prov = StatevectorProvider(SubroutineConfig(rng_seed=1), fmt=FixedPointFormat(16, 12))
-    ledger = QueryLedger()
-    result = qvi2(mdp, 1.0, 0.1, prov, ledger)
-    _, v_star, _ = exact_value_iteration(mdp)
-    assert np.abs(result.values.values - v_star.values).max() <= 1.0 + 0.01
-    assert ledger.count("quantum_mdp") > 0
-    assert ledger.count("func_binary") == ledger.count("quantum_mdp")
-    # nested accounting uses the statevector call cost 2*T*K
-    zeta = 0.1 / (4 * 2 * 2**1.5 * 2 * math.log(1 / 0.1))
-    per_call = prov.qmebo_call_cost(2, 1.0 / (2 * 2**2), zeta)
-    probes = qms_query_count(2, 0.1 / 4, prov.config)
-    assert ledger.count("quantum_mdp") == 2 * 2 * probes * per_call
+    # S = 16 would need a 2^(4+16+2)-amplitude register per row in full
+    for n_s in (2, 16):
+        mdp = random_mdp(n_s, 2, 2, seed=15)
+        prov = StatevectorProvider(SubroutineConfig(rng_seed=1), fmt=FixedPointFormat(16, 12))
+        ledger = QueryLedger()
+        result = qvi2(mdp, 1.0, 0.1, prov, ledger)
+        _, v_star, _ = exact_value_iteration(mdp)
+        assert np.abs(result.values.values - v_star.values).max() <= 1.0 + 0.01
+        assert ledger.count("quantum_mdp") > 0
+        assert ledger.count("func_binary") == ledger.count("quantum_mdp")
+        # nested accounting uses the statevector call cost 2*T*K
+        zeta = 0.1 / (4 * n_s * 2**1.5 * 2 * math.log(1 / 0.1))
+        per_call = prov.qmebo_call_cost(n_s, 1.0 / (2 * 2**2), zeta)
+        probes = qms_query_count(2, 0.1 / (n_s * 2), prov.config)
+        assert ledger.count("quantum_mdp") == 2 * n_s * probes * per_call
 
 
 def test_statevector_provider_shares_the_median_boost_rule():

@@ -5,9 +5,13 @@ rotation, inverse oracle) is rebuilt here at small register widths and used
 as the oracle for the packaged constructions.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qvilab import (
     AEConfig,
@@ -15,6 +19,8 @@ from qvilab import (
     FixedPointFormat,
     PureState,
     QueryLedger,
+    StatevectorProvider,
+    SubroutineConfig,
     ae_error_bound,
     ae_outcome_distribution,
     ae_outcome_distribution_circuit,
@@ -27,9 +33,13 @@ from qvilab import (
     prepare_psi2,
     qmebo_exact,
 )
+from qvilab.statevector import psi2_support
 
 FMT = FixedPointFormat(16, 12)
 SMALL = FixedPointFormat(4, 3)
+PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+# entries drawn from [0, 1] with the endpoints themselves drawn often
+UNIT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +213,32 @@ def test_psi2_projection_weight_matches_mean():
     assert abs(weight - 0.35) <= 2.0 ** (1 - FMT.frac_bits)
 
 
+@st.composite
+def mean_queries(draw, max_n=9):
+    """A stack of distributions over N <= max_n outcomes and a function in [0, 1]^N."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    n = draw(st.integers(1, max_n))
+    weights = draw(hnp.arrays(np.float64, shape + (n,), elements=UNIT))
+    weights[..., 0] += weights.sum(axis=-1) == 0  # a point mass in place of an all-zero row
+    f = draw(hnp.arrays(np.float64, (n,), elements=UNIT))
+    return weights / weights.sum(axis=-1, keepdims=True), f
+
+
+@PROPERTY
+@given(query=mean_queries(), fmt=st.sampled_from([FixedPointFormat(6, 5), FixedPointFormat(10, 8)]))
+def test_psi2_support_is_the_full_registers_value_zero_block(query, fmt):
+    p, f = query
+    support = psi2_support(p, f, fmt)
+    rows = p.reshape(-1, f.size)
+    assert support.shape == p.shape[:-1] + (2 ** max(1, math.ceil(math.log2(f.size))), 2, 2)
+    for row, amps in zip(rows, support.reshape((len(rows),) + support.shape[-3:])):
+        state = prepare_psi2(row, f, fmt)
+        # index | dist_flag | value | rot_flag
+        full = state.amplitudes.reshape(amps.shape[0], 2, 2**fmt.total_bits, 2)
+        assert (full[:, :, 0, :] == amps).all()
+        assert not full[:, :, 1:, :].any()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_psi2_value_register_is_uncomputed():
     # all amplitude mass sits on the cleared value register
@@ -335,9 +371,8 @@ def test_qmebo_exact_point_mass_mostly_in_window():
     ledger = QueryLedger()
     ok = 0
     runs = 200
-    state = prepare_psi2([1.0, 0.0], [0.7, 0.2], FMT)
     for _ in range(runs):
-        run = qmebo_exact([1.0, 0.0], [0.7, 0.2], 0.05, 0.1, FMT, rng, ledger=ledger, state=state)
+        run = qmebo_exact([1.0, 0.0], [0.7, 0.2], 0.05, 0.1, FMT, rng, ledger=ledger)
         ok += abs(run.estimate - 0.7) <= 0.05 + abs(run.encoding_offset)
     assert ok / runs >= 0.9  # guarantee is 1 - delta
     assert ledger.count("dist_binary") == ledger.count("func_binary") > 0
@@ -365,3 +400,51 @@ def test_qmebo_exact_accepts_explicit_schedule():
         schedule=AEConfig(grover_powers=32, powering_repeats=3),
     )
     assert run.grover_powers == 32 and run.repeats == 3 and len(run.trials) == 3
+
+
+@PROPERTY
+@given(query=mean_queries(max_n=6), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_stacked_mean_binary_equals_one_row_calls(query, seed, data):
+    p, f = query
+    shape = p.shape[:-1]
+    # one eps for the stack, or one per row (rows then differ in T)
+    eps = data.draw(st.floats(0.05, 0.5) | hnp.arrays(np.float64, shape, elements=st.floats(0.05, 0.5)))
+    provider = StatevectorProvider(SubroutineConfig(rng_seed=seed))
+    ledger = QueryLedger()
+    est = provider.mean_binary(p, f, eps, 0.1, ledger)
+
+    rng, reference = np.random.default_rng(seed), QueryLedger()
+    runs = [qmebo_exact(row, f, float(e), 0.1, FMT, rng, ledger=reference)
+            for row, e in zip(p.reshape(-1, f.size), np.broadcast_to(eps, shape).reshape(-1))]
+    assert np.shape(est.value) == np.shape(est.true_mean) == shape
+    assert np.reshape(est.value, -1).tolist() == [run.estimate for run in runs]
+    assert np.reshape(est.true_mean, -1).tolist() == [run.true_mean for run in runs]
+    assert ledger.as_dict() == reference.as_dict()
+    assert provider.rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "n, eps, t, rows, limit_mib",
+    [
+        # qvi2's per-call error eps / (2 H^2) at eps = 0.3, H = 2, on 64
+        # outcomes.  The full register would hold 2^(6+16+2) amplitudes,
+        # 256 MiB, for each row.
+        (64, 0.3 / (2 * 2**2), 2114, 128, 64),
+        # eps = 0.02, H = 4 on 16 outcomes: one outcome law takes 0.5 MB, so
+        # the layer may hold one law at a time, not one per row.
+        (16, 0.02 / (2 * 4**2), 63170, 32, 16),
+    ],
+)
+def test_statevector_layer_memory_stays_on_the_support(n, eps, t, rows, limit_mib):
+    assert ae_repetitions(n, eps) == t
+    rng = np.random.default_rng(0)
+    p, f = rng.dirichlet(np.ones(n), size=rows), rng.random(n)
+    provider = StatevectorProvider(SubroutineConfig(rng_seed=0))
+    tracemalloc.start()
+    try:
+        est = provider.mean_binary(p, f, eps, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
+    assert est.charged_queries == rows * provider.qmebo_call_cost(n, eps, 0.1)
