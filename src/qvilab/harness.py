@@ -244,7 +244,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
 
 def write_csv(rows: Sequence[ResultRow], path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(f"# qvilab results schema v{CSV_SCHEMA_VERSION}; wall time omitted for reproducibility\n")
+        fh.write(f"# qvilab results schema v{CSV_SCHEMA_VERSION}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
         writer.writerows(row.csv_values() for row in rows)

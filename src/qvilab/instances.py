@@ -204,9 +204,14 @@ def random_mdp(
 ) -> FiniteHorizonMdp:
     """Seeded random instance: uniform rewards, Dirichlet(1) transition rows.
 
-    Each row is supported on ceil(sparsity * S) states chosen without
-    replacement; sparsity = 1/S gives a deterministic instance.
-    Bit-reproducible for a fixed seed.
+    Each row is supported on k = ceil(sparsity * S) states chosen uniformly
+    without replacement; sparsity = 1/S gives a deterministic instance.
+    Bit-reproducible draw protocol, all from ``default_rng(seed)``: the
+    (H, S, A) rewards, then per step h the (S, A, k) standard exponentials
+    normalised into Dirichlet(1) weights (k = 1 gives exactly 1.0), then, if
+    k < S, the (S, A, S) uniform keys whose k smallest entries are the
+    support; the weights fill it in increasing state order.  Drawing per
+    step keeps the scratch arrays a 1/H slice of the table.
     """
     if not 0.0 < sparsity <= 1.0:
         raise ValueError("sparsity must lie in (0, 1]")
@@ -215,14 +220,15 @@ def random_mdp(
     support_size = math.ceil(sparsity * num_states)
     transitions = np.zeros((horizon, num_states, num_actions, num_states))
     for h in range(horizon):
-        for s in range(num_states):
-            for a in range(num_actions):
-                support = rng.choice(num_states, size=support_size, replace=False)
-                if support_size == 1:  # exact point mass, not gamma/gamma
-                    probs = np.ones(1)
-                else:
-                    probs = rng.dirichlet(np.ones(support_size))
-                transitions[h, s, a, support] = probs
+        weights = rng.standard_exponential((num_states, num_actions, support_size))
+        weights /= weights.sum(axis=2, keepdims=True)
+        if support_size == num_states:
+            transitions[h] = weights
+            continue
+        keys = rng.random((num_states, num_actions, num_states))
+        support = np.argpartition(keys, support_size - 1, axis=2)[..., :support_size]
+        support.sort(axis=2)
+        np.put_along_axis(transitions[h], support, weights, axis=2)
     return FiniteHorizonMdp(transitions, rewards)
 
 

@@ -76,27 +76,26 @@ class FiniteHorizonMdp:
 
     @staticmethod
     def _validate_rows(transitions: np.ndarray, rewards: np.ndarray) -> None:
-        # Report the first violated row so bad files are easy to pinpoint.
-        h_dim, s_dim, a_dim, _ = transitions.shape
-        sums = transitions.sum(axis=3)
-        bad_sum = np.argwhere(np.abs(sums - 1.0) > STOCHASTICITY_TOL)
-        bad_range = np.argwhere(
-            (transitions < -STOCHASTICITY_TOL) | (transitions > 1.0 + STOCHASTICITY_TOL)
-        )
-        if bad_range.size:
-            h, s, a, sp = bad_range[0]
+        # Report the first violated entry so bad files are easy to pinpoint.
+        # Each check is a negated "inside" test, so NaN fails it too; the
+        # min/max test (also NaN-propagating) spares the full-table argwhere
+        # on a valid table.
+        tol = STOCHASTICITY_TOL
+        if not (transitions.min() >= -tol and transitions.max() <= 1.0 + tol):
+            h, s, a, sp = np.argwhere(~((transitions >= -tol) & (transitions <= 1.0 + tol)))[0]
             raise MdpValidationError(
                 f"transition probability out of [0, 1] at (h={h}, s={s}, a={a}, s'={sp}): "
                 f"{transitions[h, s, a, sp]!r}"
             )
+        sums = transitions.sum(axis=3)
+        bad_sum = np.argwhere(~(np.abs(sums - 1.0) <= tol))
         if bad_sum.size:
             h, s, a = bad_sum[0]
             raise MdpValidationError(
                 f"transition row (h={h}, s={s}, a={a}) sums to {sums[h, s, a]!r}, not 1"
             )
-        bad_r = np.argwhere((rewards < 0.0) | (rewards > 1.0))
-        if bad_r.size:
-            h, s, a = bad_r[0]
+        if not (rewards.min() >= 0.0 and rewards.max() <= 1.0):
+            h, s, a = np.argwhere(~((rewards >= 0.0) & (rewards <= 1.0)))[0]
             raise MdpValidationError(
                 f"reward out of [0, 1] at (h={h}, s={s}, a={a}): {rewards[h, s, a]!r}"
             )

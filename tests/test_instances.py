@@ -1,9 +1,12 @@
 """Instance generators: hard families, horizon reduction, seeded randoms."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvilab import (
     HardInstanceSpec,
@@ -163,6 +166,62 @@ def test_random_mdp_rows_sum_to_one_statistical_sweep():
         assert np.abs(sums - 1.0).max() <= 1e-12
         rows += sums.size
     assert rows >= 10**4
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    num_states=st.integers(1, 12),
+    num_actions=st.integers(1, 4),
+    horizon=st.integers(1, 4),
+    sparsity=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 2),
+)
+def test_random_mdp_contract(num_states, num_actions, horizon, sparsity, seed):
+    mdp = random_mdp(num_states, num_actions, horizon, sparsity=sparsity, seed=seed)
+    p, r = mdp.transitions, mdp.rewards
+    k = math.ceil(sparsity * num_states)
+    assert np.abs(p.sum(axis=3) - 1.0).max() <= 1e-12
+    assert ((p > 0).sum(axis=3) == k).all()
+    if k == 1:
+        assert (p[p > 0] == 1.0).all()
+    assert ((r >= 0.0) & (r < 1.0)).all()
+    again = random_mdp(num_states, num_actions, horizon, sparsity=sparsity, seed=seed)
+    assert (again.transitions.tobytes(), again.rewards.tobytes()) == (p.tobytes(), r.tobytes())
+    other = random_mdp(num_states, num_actions, horizon, sparsity=sparsity, seed=seed + 1)
+    assert other.rewards.tobytes() != r.tobytes()
+
+
+@pytest.mark.parametrize("sparsity", [0.25, 1.0])
+def test_random_mdp_support_and_weights_are_uniform(sparsity):
+    # Every next state is supported with frequency k/S, and a supported
+    # entry is Beta(1, k - 1) with mean 1/k, whichever state it sits on.
+    n_s = 20
+    mdp = random_mdp(n_s, 10, 10, sparsity=sparsity, seed=3)
+    rows = mdp.transitions.reshape(-1, n_s)
+    k = math.ceil(sparsity * n_s)
+    supported = rows > 0
+    freq = k / n_s
+    assert (np.abs(supported.mean(axis=0) - freq)
+            <= 5 * math.sqrt(freq * (1 - freq) / len(rows))).all()
+    entry_sd = math.sqrt((k - 1) / (k * k * (k + 1)))
+    for sp in range(n_s):
+        entries = rows[supported[:, sp], sp]
+        assert abs(entries.mean() - 1 / k) <= 5 * entry_sd / math.sqrt(len(entries))
+
+
+def test_random_mdp_scratch_memory_is_one_step():
+    # The table and the validated copy FiniteHorizonMdp makes of it come to
+    # 2x the table; drawing one step at a time keeps the scratch a 1/H slice
+    # (whole-table keys and indices would read about 3.2x).
+    n_s, n_a, horizon = 100, 10, 20
+    table_bytes = horizon * n_s * n_a * n_s * 8
+    tracemalloc.start()
+    try:
+        random_mdp(n_s, n_a, horizon, sparsity=0.1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * table_bytes
 
 
 def test_random_mdp_rejects_bad_sparsity():

@@ -65,6 +65,28 @@ def test_rejects_reward_out_of_range():
         FiniteHorizonMdp(t, [[[1.5]]])
 
 
+NAN_INF_MESSAGES = {
+    "transitions": r"transition probability out of \[0, 1\] at \(h=0, s=1, a=0, s'=1\)",
+    "rewards": r"reward out of \[0, 1\] at \(h=0, s=1, a=0\)",
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("table", sorted(NAN_INF_MESSAGES))
+def test_rejects_nan_and_inf_in_tables_and_files(tmp_path, table, value):
+    # Every comparison with NaN is False, so an "outside" test lets it through.
+    tables = {"transitions": np.full((1, 2, 1, 2), 0.5), "rewards": np.zeros((1, 2, 1))}
+    tables[table][0, 1, 0, ...] = value if table == "rewards" else [0.5, value]
+    where = NAN_INF_MESSAGES[table]
+    with pytest.raises(MdpValidationError, match=where):
+        FiniteHorizonMdp(**tables)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"S": 2, "A": 1, "H": 1,
+                                **{k: v.tolist() for k, v in tables.items()}}))
+    with pytest.raises(MdpValidationError, match=where):
+        FiniteHorizonMdp.load(path)
+
+
 def test_mdp_is_immutable_and_json_round_trips(tmp_path):
     mdp = random_mdp(3, 2, 2, seed=5)
     with pytest.raises(ValueError):

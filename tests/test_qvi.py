@@ -589,6 +589,11 @@ def test_result_values_respect_table_invariants():
 # ---------------------------------------------------------------------------
 
 FEASIBLE = dict(eps=0.3, delta=0.1, eta=0.05)
+# The instance the ordering tests below run on, and an eta that is a valid
+# lower bound for it (its smallest supported probability), so qvi5 passes
+# that check and reaches the one under test.
+TINY_MDP = random_mdp(2, 2, 2, seed=0)
+TINY_ETA = float(TINY_MDP.transitions[TINY_MDP.transitions > 0].min())
 
 
 @pytest.mark.parametrize(
@@ -602,14 +607,14 @@ FEASIBLE = dict(eps=0.3, delta=0.1, eta=0.05)
         ("qvi4", dict(eps=1.5), "eps must be in (0, sqrt(H)=1.414]"),
         ("qvi5", dict(eta=0.6), "eta must be in (0, 1/2)"),
         ("qvi5", dict(eta=0.45), "not a lower bound"),
-        ("qvi5", dict(delta=0.999, eta=0.01), "estimator failure budget"),
-        ("qvi5", dict(eta=0.01, perturb_scale=2.0), "perturb_scale must be in [0, 1]"),
-        ("qvi5", dict(eta=0.01, perturb_scale=-1.0), "perturb_scale must be in [0, 1]"),
-        ("qvi5", dict(eta=0.01, perturb_scale=math.nan), "perturb_scale must be in [0, 1]"),
+        ("qvi5", dict(delta=0.999, eta=TINY_ETA), "estimator failure budget"),
+        ("qvi5", dict(eta=TINY_ETA, perturb_scale=2.0), "perturb_scale must be in [0, 1]"),
+        ("qvi5", dict(eta=TINY_ETA, perturb_scale=-1.0), "perturb_scale must be in [0, 1]"),
+        ("qvi5", dict(eta=TINY_ETA, perturb_scale=math.nan), "perturb_scale must be in [0, 1]"),
     ],
 )
 def test_infeasible_params_raise_before_any_charge_or_draw(algo, bad, reason):
-    mdp = random_mdp(2, 2, 2, seed=0)
+    mdp = TINY_MDP
     prov, ledger = provider(0), QueryLedger()
     rng_state = prov.rng.bit_generator.state
     params = FEASIBLE | bad
@@ -626,11 +631,11 @@ def test_infeasible_params_raise_before_any_charge_or_draw(algo, bad, reason):
 
 @pytest.mark.parametrize("algo", ["qvi2", "qvi3", "qvi5"])
 def test_bad_qms_budget_mode_raises_before_any_charge_or_draw(algo):
-    mdp = random_mdp(2, 2, 2, seed=0)
+    mdp = TINY_MDP
     prov, ledger = provider(0), QueryLedger()
     rng_state = prov.rng.bit_generator.state
     with pytest.raises(ValueError, match="qms_budget_mode"):
-        solve(algo, mdp, prov, ledger, **(FEASIBLE | dict(eta=0.01)), qms_budget_mode="bogus")
+        solve(algo, mdp, prov, ledger, **(FEASIBLE | dict(eta=TINY_ETA)), qms_budget_mode="bogus")
     assert ledger.total == 0
     assert prov.rng.bit_generator.state == rng_state
 
