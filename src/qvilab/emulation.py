@@ -13,7 +13,9 @@ row; it returns (...)-shaped estimates and failure flags.  The search maps
 values of shape (..., N) to (...)-shaped indices.  A call checks its
 preconditions once, computes the true means as one ``P @ f`` and makes one
 ledger charge per oracle: the per-call count summed over the rows.  The mean
-estimators share one tail, :func:`_estimate`.
+estimators share one tail, :func:`_estimate`.  A call costs a fixed handful of
+numpy operations plus O(rows) work (O(rows * N) for ``P @ f`` and the checks):
+no Python loop over rows, and the count formula runs once per distinct value.
 
 Draw protocol.  Each estimator call draws, in this order:
 
@@ -146,8 +148,8 @@ def qms_query_count(n: int, delta: float, config: SubroutineConfig) -> int:
 
 def qme1_query_count(u: float, eps: float, delta: float, config: SubroutineConfig) -> int:
     """Queries charged by one range-bounded mean estimation (values in [0, u])."""
-    if eps <= 0:
-        raise ContractViolation("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ContractViolation(f"eps must be positive and finite, got {eps!r}")
     ratio = u / eps
     return max(1, math.ceil(ratio + math.sqrt(ratio))) * _repeats(delta, config)
 
@@ -156,8 +158,8 @@ def qme2_query_count(
     sigma_bound: float, eps: float, delta: float, config: SubroutineConfig
 ) -> int:
     """Queries charged by one variance-bounded mean estimation."""
-    if eps <= 0:
-        raise ContractViolation("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ContractViolation(f"eps must be positive and finite, got {eps!r}")
     ratio = sigma_bound / eps
     base = math.ceil(ratio * max(1.0, math.log(ratio)) ** 2) if ratio > 0 else 0
     return max(1, base) * _repeats(delta, config)
@@ -165,8 +167,8 @@ def qme2_query_count(
 
 def qmebo_query_count(n: int, eps: float, delta: float, config: SubroutineConfig) -> int:
     """Queries charged (to each of the two binary oracles) by one mean estimation."""
-    if eps <= 0:
-        raise ContractViolation("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ContractViolation(f"eps must be positive and finite, got {eps!r}")
     base = math.sqrt(n) / eps + math.sqrt(n / eps)
     return max(1, math.ceil(base)) * _repeats(delta, config)
 
@@ -192,16 +194,23 @@ def _bill(ledger: Optional[QueryLedger], oracles: Sequence[str], n_queries: int)
             ledger.charge(oracle, n_queries)
 
 
-def _batch_count(per_call, key, shape) -> int:
+def _rows(x, shape) -> np.ndarray:
+    """A parameter of a ``shape`` stack in float64: 0-d if scalar, else flat, one per row."""
+    x = np.asarray(x, dtype=np.float64)
+    return x if x.ndim == 0 else (x if x.shape == shape else np.broadcast_to(x, shape)).reshape(-1)
+
+
+def _batch_count(per_call, key: np.ndarray, shape) -> int:
     """Queries a stack of ``shape`` rows charges: ``per_call(key)`` summed over its rows.
 
-    ``key`` is the one parameter the per-call count varies with, a scalar or
-    one value per row; the count is computed once per distinct value.
+    ``key``, from :func:`_rows`, is the one parameter the per-call count
+    varies with; the count is computed once per distinct value.
     """
-    if np.ndim(key) == 0:
+    if key.ndim == 0:
         return math.prod(shape) * per_call(float(key))
-    keys, rows = np.unique(np.broadcast_to(key, shape), return_counts=True)
-    return sum(int(n) * per_call(float(k)) for k, n in zip(keys, rows))
+    keys = np.sort(key)
+    cuts = [0, *((keys[1:] != keys[:-1]).nonzero()[0] + 1).tolist(), keys.size]
+    return sum((b - a) * per_call(float(keys[a])) for a, b in zip(cuts, cuts[1:]) if b > a)
 
 
 def _shaped(flat: np.ndarray, shape) -> np.ndarray:
@@ -214,24 +223,27 @@ def _estimate(p, f, charged, eps, delta, config, rng, ledger, oracles) -> NoisyE
 
     Draws follow the module's draw protocol.  A failed row's estimate is
     uniform over the function's value range; every other row's exact mean
-    moves within its row's ``eps`` as ``config.noise_mode`` says.
+    moves within its row's ``eps`` (a :func:`_rows` value) as the noise mode says.
     """
     _bill(ledger, oracles, charged)
-    shape = p.shape[:-1]
-    true_mean = np.reshape(p @ f, -1)
-    failed = np.zeros(true_mean.size, dtype=bool)
-    if config.failure_injection:
-        failed = rng.random(true_mean.size) < delta
+    true_mean = (p @ f).reshape(-1)
     value = true_mean.copy()
-    if failed.any():
-        value[failed] = rng.uniform(f.min(), f.max(), size=np.count_nonzero(failed))
-    ok = ~failed
+    failed, n_failed, ok = np.zeros(value.size, dtype=bool), 0, slice(None)
+    if config.failure_injection:
+        failed = rng.random(value.size) < delta
+        n_failed = np.count_nonzero(failed)
+    if n_failed:  # the mask is touched only when some row failed
+        value[failed] = rng.uniform(f.min(), f.max(), size=n_failed)
+        ok = ~failed
     if config.noise_mode != "exact":
-        row_eps = np.broadcast_to(eps, shape).reshape(-1)[ok]
+        row_eps = eps[ok] if eps.ndim else float(eps)
         if config.noise_mode == "uniform_interval":
-            value[ok] += rng.uniform(-row_eps, row_eps)
+            # -e + (e + e) * u, exactly what rng.uniform(-e, e) returns
+            noise = rng.random(value.size - n_failed) * (row_eps + row_eps) - row_eps
         else:
-            value[ok] += -row_eps if config.noise_mode == "adversarial_low" else row_eps
+            noise = -row_eps if config.noise_mode == "adversarial_low" else row_eps
+        value[ok] += noise
+    shape = p.shape[:-1]
     return NoisyEstimate(
         _shaped(value, shape), charged, _shaped(failed, shape), _shaped(true_mean, shape)
     )
@@ -285,6 +297,7 @@ def qme1_emulated(
         raise ContractViolation(
             f"function values must lie in [0, u={u!r}]; observed range [{lo!r}, {hi!r}]"
         )
+    eps = _rows(eps, p.shape[:-1])
     charged = _batch_count(lambda e: qme1_query_count(u, e, delta, config), eps, p.shape[:-1])
     return _estimate(p, f, charged, eps, delta, config, rng, ledger, (oracle,))
 
@@ -307,17 +320,19 @@ def qme2_emulated(
     """
     p, f = _stack(*mean_query)
     shape = p.shape[:-1]
-    sigma_bound, eps = np.broadcast_arrays(np.asarray(sigma_bound, float), np.asarray(eps, float))
-    too_wide = np.flatnonzero(~(eps < 4.0 * sigma_bound))
-    if too_wide.size:
-        raise Qme2ContractError(float(eps.flat[too_wide[0]]), float(sigma_bound.flat[too_wide[0]]))
+    sigma_bound, eps = _rows(sigma_bound, shape), _rows(eps, shape)
+    narrow = eps < 4.0 * sigma_bound
+    if not narrow.all():
+        first = np.flatnonzero(~narrow)[0]
+        sigma_bound, eps = np.broadcast_arrays(sigma_bound, eps)
+        raise Qme2ContractError(float(eps.flat[first]), float(sigma_bound.flat[first]))
     if config.debug_checks:
-        mean = p @ f
-        var = np.maximum(p @ (f * f) - mean * mean, 0.0)
-        bound = np.broadcast_to(sigma_bound**2, shape)
+        mean = (p @ f).reshape(-1)
+        var = np.maximum((p @ (f * f)).reshape(-1) - mean * mean, 0.0)
+        bound = np.broadcast_to(sigma_bound**2, var.shape)
         over = np.flatnonzero(var > bound + 1e-9)
         if over.size:
-            var, bound = float(var.flat[over[0]]), float(bound.flat[over[0]])
+            var, bound = float(var[over[0]]), float(bound[over[0]])
             raise ContractViolation(f"variance {var!r} exceeds declared bound {bound!r}")
     if (eps <= 0).any():
         raise ContractViolation("eps must be positive")
@@ -365,6 +380,7 @@ def qmebo_emulated(
     count to the distribution oracle and the function oracle.
     """
     probs, values = check_binary_query(p, f)
+    eps = _rows(eps, probs.shape[:-1])
     charged = _batch_count(
         lambda e: qmebo_query_count(values.size, e, delta, config), eps, probs.shape[:-1]
     )

@@ -117,7 +117,7 @@ class QviResult:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
+            fh.write(json.dumps(self.to_json()))
 
 
 class InfeasibleParams(ValueError):
@@ -159,8 +159,9 @@ def _search(provider, rows, delta, ledger, oracle, cost_per_query):
     """Search every row of the (S, A) table ``rows`` in one provider call: the
     actions found, their values, and how many scored below their row's maximum."""
     actions = provider.qms(rows, delta, ledger, oracle=oracle, cost_per_query=cost_per_query)
-    picked = rows[np.arange(len(rows)), actions]
-    return actions, picked, int(np.count_nonzero(picked < rows.max(axis=1)))
+    states = np.arange(len(rows))
+    picked, best = rows[states, actions], rows[states, rows.argmax(axis=1)]  # max, but faster
+    return actions, picked, int(np.count_nonzero(picked < best))
 
 
 def _result(algorithm, pi, v, q, ledger, provider, params, trace=None):
@@ -420,6 +421,7 @@ def qvi4(
     zeta = delta / (4.0 * epochs * horizon * n_s * n_a)
     idx = np.arange(n_s)
 
+    u, err_scale = float(horizon), c * eps / horizon**1.5
     v = np.zeros((horizon + 1, n_s))
     pi = np.zeros((n_s, horizon), dtype=np.int64)
     q = np.zeros((horizon, n_s, n_a))
@@ -427,20 +429,20 @@ def qvi4(
     for k in range(epochs):
         eps_k = horizon / 2.0**k
         err_g = c * eps_k / horizon
-        v_start, pi_start = v, pi
+        v_start, pi_start, squares = v, pi, v * v
         v = np.zeros((horizon + 1, n_s))
         pi = np.zeros((n_s, horizon), dtype=np.int64)
         for h in range(horizon - 1, -1, -1):
             p, ref = mdp.transitions[h], v_start[h + 1]
-            second = provider.mean_bounded(p, ref * ref, float(horizon) ** 2, b, zeta, ledger)
-            first = provider.mean_bounded(p, ref, float(horizon), b / horizon, zeta, ledger)
+            second = provider.mean_bounded(p, squares[h + 1], u * u, b, zeta, ledger)
+            first = provider.mean_bounded(p, ref, u, b / horizon, zeta, ledger)
             spread = np.sqrt(np.maximum(second.value - first.value**2, 0.0) + 4.0 * b)
-            err = c * eps / horizon**1.5 * spread
+            err = err_scale * spread
             x = provider.mean_with_variance_bound(p, ref, spread, err, zeta, ledger)
             g = provider.mean_bounded(p, v[h + 1] - ref, 2.0 * eps_k, err_g, zeta, ledger)
-            q[h] = np.maximum(mdp.rewards[h] + (x.value - err) + (g.value - err_g), 0.0)
+            np.maximum(mdp.rewards[h] + (x.value - err) + (g.value - err_g), 0.0, out=q[h])
             greedy = q[h].argmax(axis=1)
-            greedy_v = np.minimum(q[h][idx, greedy], float(horizon))
+            greedy_v = np.minimum(q[h][idx, greedy], u)
             keep = greedy_v <= v_start[h]
             v[h] = np.where(keep, v_start[h], greedy_v)
             pi[:, h] = np.where(keep, pi_start[:, h], greedy)

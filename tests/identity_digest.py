@@ -1,0 +1,89 @@
+"""Print digests of every solver's seeded outputs, to compare two checkouts.
+
+A speed-up that must not change results runs this script on both commits
+and compares the output, which must be identical:
+
+    python3 tests/identity_digest.py
+
+Every ``ALGORITHMS`` entry runs under each noise mode, with failure injection
+off and on, on three seeded instances; ``qvi2`` also runs on the statevector
+provider.  Each run contributes V, the policy, Q, the ledger counts, the trace
+without its seconds and the provider's final random state.  The script prints
+one SHA-256 per algorithm over its runs and one over all of them.  It is not
+a test module, so pytest does not collect it.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from qvilab import (  # noqa: E402
+    ALGORITHMS,
+    EmulatedProvider,
+    FixedPointFormat,
+    QueryLedger,
+    StatevectorProvider,
+    SubroutineConfig,
+    qvi2,
+    random_mdp,
+    solve,
+)
+from qvilab.emulation import NOISE_MODES  # noqa: E402
+
+SEEDS = (0, 1, 2)
+EPS, DELTA = 0.4, 0.1
+
+
+def run_digest(result, provider) -> bytes:
+    """The bytes of one run's outputs, its trace (seconds aside) and final random state."""
+    parts = [result.values.values.tobytes(), result.policy.actions.tobytes(),
+             b"" if result.qvalues is None else result.qvalues.qvalues.tobytes(),
+             json.dumps(result.ledger.as_dict(), sort_keys=True).encode()]
+    for record in result.trace:
+        head = (record.epoch, record.h, sorted(record.queries.items()),
+                record.failed_estimates, record.failed_searches)
+        parts += [json.dumps(head).encode(), record.values.tobytes()]
+    parts.append(json.dumps(provider.rng.bit_generator.state, sort_keys=True).encode())
+    return hashlib.sha256(b"\0".join(parts)).digest()
+
+
+def runs():
+    """(label, run digest) for every algorithm, noise mode, injection setting and seed."""
+    for name in ALGORITHMS:
+        for mode in NOISE_MODES:
+            for injection in (False, True):
+                for seed in SEEDS:
+                    mdp = random_mdp(10, 4, 6, sparsity=0.5, seed=seed)
+                    eta = min(float(mdp.transitions[mdp.transitions > 0].min()), 0.49)
+                    config = SubroutineConfig(noise_mode=mode, failure_injection=injection,
+                                              rng_seed=seed)
+                    provider = EmulatedProvider(config)
+                    result = solve(name, mdp, provider, QueryLedger(), eps=EPS, delta=DELTA,
+                                   eta=eta)
+                    yield name, run_digest(result, provider)
+    for injection in (False, True):
+        for seed in SEEDS:
+            config = SubroutineConfig(failure_injection=injection, rng_seed=seed)
+            provider = StatevectorProvider(config, fmt=FixedPointFormat(16, 12))
+            result = qvi2(random_mdp(3, 2, 2, seed=seed), 1.0, DELTA, provider, QueryLedger())
+            yield "qvi2_sv", run_digest(result, provider)
+
+
+def main() -> None:
+    by_name = {}
+    total, count = hashlib.sha256(), 0
+    for name, digest in runs():
+        by_name.setdefault(name, hashlib.sha256()).update(digest)
+        total.update(digest)
+        count += 1
+    for name, h in by_name.items():
+        print(f"{name:8} {h.hexdigest()}")
+    print(f"{'all':8} {total.hexdigest()}  ({count} runs)")
+
+
+if __name__ == "__main__":
+    main()

@@ -231,14 +231,19 @@ def test_btp_rejects_bad_eta():
 # ---------------------------------------------------------------------------
 
 
+# qme2's sigma_bound for row i of a stack (in C order): 1/2 and its one-ulp
+# neighbours in turn, so a stack's bound/error ratios differ in the last bits,
+# as qvi4's estimated spread over its error target does.
+SIGMAS = np.nextafter(0.5, [0.0, 0.5, 1.0])
+
 # Each mean estimator on a (p, f) pair with f in [0, 1], which meets every
-# estimator's preconditions (sigma_bound = 1/2 bounds the deviation of any such f).
+# estimator's preconditions (sigma_bound ~ 1/2 bounds the deviation of any such f).
 ESTIMATORS = {
     "qme1": lambda p, f, eps, delta, config, rng, ledger=None: qme1_emulated(
         (p, f), 1.0, eps, delta, config, rng=rng, ledger=ledger
     ),
     "qme2": lambda p, f, eps, delta, config, rng, ledger=None: qme2_emulated(
-        (p, f), 0.5, eps, delta, config, rng=rng, ledger=ledger
+        (p, f), np.resize(SIGMAS, np.shape(p)[:-1]), eps, delta, config, rng=rng, ledger=ledger
     ),
     "qmebo": lambda p, f, eps, delta, config, rng, ledger=None: qmebo_emulated(
         p, f, eps, delta, config, rng=rng, ledger=ledger
@@ -289,6 +294,16 @@ def test_injected_failure_rate_contract(estimator):
 def test_estimators_reject_bad_pairs(estimator, p, f, error, message):
     with pytest.raises(error, match=message):
         ESTIMATORS[estimator](p, f, 0.1, 0.1, CFG, fresh_rng())
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per_row"])
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_estimators_reject_non_finite_eps(estimator, eps, per_row):
+    p = np.array([[0.5, 0.5], [0.25, 0.75]])
+    with pytest.raises(ContractViolation):
+        ESTIMATORS[estimator](p, [0.2, 0.8], np.array([0.1, eps]) if per_row else eps, 0.1,
+                              CFG, fresh_rng())
 
 
 def test_cost_monotonicity():
@@ -356,14 +371,14 @@ def test_ledger_merge_and_exports():
 PROPERTY = settings(derandomize=True, database=None, max_examples=12, deadline=None)
 BATCH_DELTA = 0.3
 
-# Each estimator's count for one row of N entries at error eps (with the
-# bounds ESTIMATORS uses), and the oracles it charges.
+# Each estimator's count for row i, of N entries, of a stack at error eps
+# (with the bounds ESTIMATORS uses), and the oracles it charges.
 PER_CALL = {
-    "qme1": (lambda n, eps, config: qme1_query_count(1.0, eps, BATCH_DELTA, config),
+    "qme1": (lambda n, i, eps, config: qme1_query_count(1.0, eps, BATCH_DELTA, config),
              ("quantum_generative",)),
-    "qme2": (lambda n, eps, config: qme2_query_count(0.5, eps, BATCH_DELTA, config),
+    "qme2": (lambda n, i, eps, config: qme2_query_count(SIGMAS[i % 3], eps, BATCH_DELTA, config),
              ("quantum_generative",)),
-    "qmebo": (lambda n, eps, config: qmebo_query_count(n, eps, BATCH_DELTA, config),
+    "qmebo": (lambda n, i, eps, config: qmebo_query_count(n, eps, BATCH_DELTA, config),
               ("dist_binary", "func_binary")),
 }
 
@@ -391,8 +406,8 @@ def test_batch_estimates_meet_the_contract_row_by_row(estimator, mode, injection
     p, f, eps, seed = stack
     call, (per_call, oracles) = ESTIMATORS[estimator], PER_CALL[estimator]
     config = SubroutineConfig(noise_mode=mode, failure_injection=injection, debug_checks=True)
-    ledger = QueryLedger()
-    est = call(p, f, eps, BATCH_DELTA, config, np.random.default_rng(seed), ledger)
+    ledger, stack_rng = QueryLedger(), np.random.default_rng(seed)
+    est = call(p, f, eps, BATCH_DELTA, config, stack_rng, ledger)
 
     shape = p.shape[:-1]
     true = p.reshape(-1, f.size) @ f
@@ -410,15 +425,15 @@ def test_batch_estimates_meet_the_contract_row_by_row(estimator, mode, injection
     if not injection:
         assert not failed.any()
 
-    charged = sum(per_call(f.size, float(e), config) for e in row_eps)
+    charged = sum(per_call(f.size, i, float(e), config) for i, e in enumerate(row_eps))
     assert est.charged_queries == charged
     assert ledger.as_dict() == dict.fromkeys(ORACLES, 0) | dict.fromkeys(oracles, charged)
 
-    # The draw protocol, replayed row by row: failure uniforms, failed values,
-    # then the other rows' noise, each in C order.
+    # The draw protocol, replayed row by row from the call's own true means:
+    # failure uniforms, failed values, then the other rows' noise, each in C order.
     rng = np.random.default_rng(seed)
     replay_failed = np.array([injection and rng.random() < BATCH_DELTA for _ in true])
-    replay = true.copy()
+    replay = np.reshape(est.true_mean, -1).copy()
     for i in np.flatnonzero(replay_failed):
         replay[i] = rng.uniform(f.min(), f.max())
     for i in np.flatnonzero(~replay_failed):
@@ -427,13 +442,14 @@ def test_batch_estimates_meet_the_contract_row_by_row(estimator, mode, injection
         elif mode != "exact":
             replay[i] += row_eps[i] if mode == "adversarial_high" else -row_eps[i]
     np.testing.assert_array_equal(failed, replay_failed)
-    np.testing.assert_allclose(value, replay, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(value, replay)
 
     if not injection:  # a stack draws what its rows' one-row calls draw, in C order
         rng = np.random.default_rng(seed)
         rows = [call(row, f, e, BATCH_DELTA, config, rng) for row, e in
                 zip(p.reshape(-1, f.size), row_eps)]
         np.testing.assert_allclose(value, [r.value for r in rows], rtol=0, atol=1e-12)
+        assert rng.bit_generator.state == stack_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("injection", [False, True], ids=["faithful", "inject"])

@@ -527,6 +527,7 @@ def test_results_are_deterministic_and_exportable(tmp_path):
     r1.save(path)
     import json
 
+    assert path.read_text() == json.dumps(r1.to_json())
     blob = json.loads(path.read_text())
     assert set(blob) == {"algorithm", "policy", "V", "Q", "ledger", "config", "seed"}
     assert blob["seed"] == 42
