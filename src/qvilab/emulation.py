@@ -161,6 +161,8 @@ def qme2_query_count(
     if not 0 < eps < math.inf:
         raise ContractViolation(f"eps must be positive and finite, got {eps!r}")
     ratio = sigma_bound / eps
+    if not 0 <= ratio < math.inf:
+        raise ContractViolation(f"sigma_bound / eps must be finite and >= 0, got {ratio!r}")
     base = math.ceil(ratio * max(1.0, math.log(ratio)) ** 2) if ratio > 0 else 0
     return max(1, base) * _repeats(delta, config)
 
@@ -175,8 +177,8 @@ def qmebo_query_count(n: int, eps: float, delta: float, config: SubroutineConfig
 
 def btp_multiplier(eps: float, eta: float) -> int:
     """Per-use query multiplier of a binary-to-probability oracle conversion."""
-    if eps <= 0:
-        raise ContractViolation("conversion error must be positive")
+    if not 0 < eps < math.inf:
+        raise ContractViolation(f"conversion error must be positive and finite, got {eps!r}")
     if not 0 < eta < 0.5:
         raise ContractViolation(f"eta must be in (0, 1/2), got {eta!r}")
     return max(1, math.ceil(math.log(1.0 / math.sqrt(eps)) / eta))

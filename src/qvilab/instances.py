@@ -229,7 +229,7 @@ def random_mdp(
         support = np.argpartition(keys, support_size - 1, axis=2)[..., :support_size]
         support.sort(axis=2)
         np.put_along_axis(transitions[h], support, weights, axis=2)
-    return FiniteHorizonMdp(transitions, rewards)
+    return FiniteHorizonMdp._owning(transitions, rewards)
 
 
 def brute_force_optimal(mdp: FiniteHorizonMdp, cap: int = 10**6):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.decoder import WHITESPACE
 from typing import Optional
 
 import numpy as np
@@ -44,15 +45,24 @@ class FiniteHorizonMdp:
     transitions: array (H, S, A, S) of conditional next-state probabilities.
     rewards:     array (H, S, A) of rewards in [0, 1].
 
-    Each row ``transitions[h, s, a]`` must sum to 1 within 1e-12.  Arrays are
-    frozen (read-only views) after validation.
+    Each row ``transitions[h, s, a]`` must sum to 1 within 1e-12.  The
+    constructor validates and freezes (makes read-only) a float64 copy of its
+    arguments; ``random_mdp`` and ``load`` hand over fresh tables uncopied.
     """
 
     __slots__ = ("transitions", "rewards")
 
     def __init__(self, transitions, rewards):
-        transitions = np.array(transitions, dtype=np.float64)
-        rewards = np.array(rewards, dtype=np.float64)
+        self._freeze(np.array(transitions, dtype=np.float64), np.array(rewards, dtype=np.float64))
+
+    @classmethod
+    def _owning(cls, transitions: np.ndarray, rewards: np.ndarray) -> "FiniteHorizonMdp":
+        """An MDP that takes over fresh float64 tables no caller keeps: validated, frozen, not copied."""
+        mdp = cls.__new__(cls)
+        mdp._freeze(np.asarray(transitions, dtype=np.float64), np.asarray(rewards, dtype=np.float64))
+        return mdp
+
+    def _freeze(self, transitions: np.ndarray, rewards: np.ndarray) -> None:
         if transitions.ndim != 4:
             raise MdpValidationError(
                 f"transitions must have shape (H, S, A, S), got {transitions.shape}"
@@ -129,45 +139,161 @@ class FiniteHorizonMdp:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteHorizonMdp":
-        mdp = cls(obj["transitions"], obj["rewards"])
+        return cls(obj["transitions"], obj["rewards"])._declared_as(obj)
+
+    def _declared_as(self, obj: dict) -> "FiniteHorizonMdp":
+        """``self``, once the (S, A, H) that ``obj`` declares (if all three) match its tables."""
         declared = (obj.get("S"), obj.get("A"), obj.get("H"))
-        actual = (mdp.num_states, mdp.num_actions, mdp.horizon)
+        actual = (self.num_states, self.num_actions, self.horizon)
         if None not in declared and tuple(declared) != actual:
             raise MdpValidationError(
                 f"declared (S, A, H)={declared} does not match table shapes {actual}"
             )
-        return mdp
+        return self
 
     def save(self, path) -> None:
-        """Write ``json.dumps(self.to_json())``, one item of each list at a time.
+        """Write the text of ``json.dumps(self.to_json())``, one step ``h`` at a time.
 
-        ``json.dumps`` runs CPython's C encoder (``json.dump`` only the Python
-        one); writing the text piece by piece keeps the whole of it out of
-        memory, so saving needs no more than the lists of ``to_json``.
+        ``to_json`` defines the format; the file is byte-identical to it.  Each
+        step of each table is written as it is formatted, so no table is ever
+        held as Python objects: a 0.0 entry is the constant token ``0.0``, and
+        ``repr`` runs only on entries that are nonzero or carry the sign bit
+        (``-0.0`` stays ``-0.0``).
         """
         with open(path, "w") as fh:
-            fh.write("{")
-            for i, (key, value) in enumerate(self.to_json().items()):
-                fh.write((", " if i else "") + json.dumps(key) + ": ")
-                if not isinstance(value, list):
-                    fh.write(json.dumps(value))
-                    continue
-                fh.write("[")
-                for j, item in enumerate(value):
-                    fh.write((", " if j else "") + json.dumps(item))
-                fh.write("]")
+            fh.write(f'{{"S": {self.num_states}, "A": {self.num_actions}, "H": {self.horizon}')
+            for key, table in (("transitions", self.transitions), ("rewards", self.rewards)):
+                fh.write(f', "{key}": ')
+                _write_steps(fh, table)
             fh.write("}")
 
     @classmethod
     def load(cls, path) -> "FiniteHorizonMdp":
+        """Read an MDP file, one step ``h`` at a time.
+
+        Any JSON layout of the format is read (whitespace, key order, and a
+        repeated key's last value winning, as with ``json.load``).  Each item
+        of ``transitions`` and ``rewards`` is decoded and made a float64 array
+        before the next is read, so at most one step is alive as Python
+        floats; the file's text is dropped before the steps are stacked, once.
+        A malformed file raises a ``ValueError`` (a ``json.JSONDecodeError`` or
+        an :class:`MdpValidationError`).
+        """
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            obj = _decode_object(fh.read())
+        tables = []
+        for key in ("transitions", "rewards"):
+            if key not in obj:
+                raise MdpValidationError(f"MDP file has no {key!r}")
+            steps = obj.pop(key)
+            tables.append(np.stack(steps) if isinstance(steps, list) else _float_array(steps))
+        return cls._owning(*tables)._declared_as(obj)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FiniteHorizonMdp(S={self.num_states}, A={self.num_actions}, "
             f"H={self.horizon})"
         )
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _write_steps(fh, table: np.ndarray) -> None:
+    """Write ``json.dumps(table.tolist())`` to ``fh``, one step ``table[h]`` at a time.
+
+    Each entry's token carries the brackets that open before it and close
+    after it, so one join writes a step.  A step with zeros starts from the
+    constant tokens and puts ``repr`` in only where the entry is nonzero or
+    has its sign bit set; a step without zeros joins the reprs directly.
+    """
+    shape = table.shape[1:]
+    depth = len(shape) + 1
+    # codes = depth * (brackets opening) + (brackets closing) at each entry
+    codes = np.zeros(shape, dtype=np.int8)
+    for m in range(1, depth):
+        codes[(...,) + (0,) * m] += depth
+        codes[(...,) + (-1,) * m] += 1
+    codes = codes.reshape(-1)
+    opens = ["[" * (c // depth) for c in range(depth * depth)]
+    closes = ["]" * (c % depth) for c in range(depth * depth)]
+    zeros = np.array([o + "0.0" + c for o, c in zip(opens, closes)], dtype=object)
+    edges = np.flatnonzero(codes)
+    for h, step in enumerate(table):
+        flat = step.reshape(-1)
+        kept = (flat != 0) | np.signbit(flat)
+        if kept.all():
+            tokens, at = list(map(repr, flat.tolist())), edges
+        else:
+            kept = np.flatnonzero(kept)
+            tokens = zeros[codes]
+            tokens[kept] = list(map(repr, flat[kept].tolist()))
+            tokens, at = tokens.tolist(), kept[codes[kept] != 0]
+        for i, c in zip(at.tolist(), codes[at].tolist()):
+            tokens[i] = opens[c] + tokens[i] + closes[c]
+        fh.write(", " if h else "[")
+        fh.write(", ".join(tokens))
+    fh.write("]")
+
+
+def _skip(text: str, pos: int) -> int:
+    return WHITESPACE.match(text, pos).end()
+
+
+def _delimiter(text: str, pos: int, close: str) -> tuple[int, bool]:
+    """Past the ``,`` or ``close`` that follows an item: (next position, closed?)."""
+    pos = _skip(text, pos)
+    char = text[pos:pos + 1]
+    if char not in (",", close):
+        raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+    return _skip(text, pos + 1), char == close
+
+
+def _opened(text: str, pos: int, close: str) -> tuple[int, bool]:
+    """Past the opening bracket at ``pos``: (first item's position, empty?)."""
+    pos = _skip(text, pos + 1)
+    empty = text.startswith(close, pos)
+    return _skip(text, pos + empty), empty
+
+
+def _float_array(value) -> np.ndarray:
+    try:
+        return np.array(value, dtype=np.float64)
+    except (TypeError, OverflowError) as err:
+        raise MdpValidationError(f"table entries must be numbers: {err}") from None
+
+
+def _decode_object(text: str) -> dict:
+    """The one JSON object of ``text``; a ``transitions`` or ``rewards`` list as float64 steps."""
+    pos = _skip(text, 0)
+    if not text.startswith("{", pos):
+        raise MdpValidationError("an MDP file holds one JSON object")
+    obj = {}
+    pos, closed = _opened(text, pos, "}")
+    while not closed:
+        if not text.startswith('"', pos):
+            raise json.JSONDecodeError(
+                "Expecting property name enclosed in double quotes", text, pos
+            )
+        key, pos = _DECODER.raw_decode(text, pos)
+        pos = _skip(text, pos)
+        if not text.startswith(":", pos):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+        pos = _skip(text, pos + 1)
+        if key in ("transitions", "rewards") and text.startswith("[", pos):
+            steps = []
+            pos, done = _opened(text, pos, "]")
+            while not done:
+                step, pos = _DECODER.raw_decode(text, pos)
+                steps.append(_float_array(step))
+                pos, done = _delimiter(text, pos, "]")
+            obj[key] = steps
+        else:
+            obj[key], pos = _DECODER.raw_decode(text, pos)
+        pos, closed = _delimiter(text, pos, "}")
+    if pos != len(text):
+        raise json.JSONDecodeError("Extra data", text, pos)
+    return obj
 
 
 @dataclass(frozen=True)

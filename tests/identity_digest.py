@@ -8,22 +8,28 @@ and compares the output, which must be identical:
 Every ``ALGORITHMS`` entry runs under each noise mode, with failure injection
 off and on, on three seeded instances; ``qvi2`` also runs on the statevector
 provider.  Each run contributes V, the policy, Q, the ledger counts, the trace
-without its seconds and the provider's final random state.  The script prints
-one SHA-256 per algorithm over its runs and one over all of them.  It is not
-a test module, so pytest does not collect it.
+without its seconds and the provider's final random state.  The instance file
+format contributes, for a dense, a sparse, an S = 1 instance and one holding
+-0.0, the bytes ``save`` writes and the arrays ``load`` reads back.  The
+script prints one SHA-256 per algorithm over its runs, one over the files and
+one over all of them.  It is not a test module, so pytest does not collect it.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qvilab import (  # noqa: E402
     ALGORITHMS,
     EmulatedProvider,
+    FiniteHorizonMdp,
     FixedPointFormat,
     QueryLedger,
     StatevectorProvider,
@@ -73,10 +79,32 @@ def runs():
             yield "qvi2_sv", run_digest(result, provider)
 
 
+def with_negative_zeros(mdp):
+    """``mdp`` with every other zero transition and its first reward written as -0.0."""
+    t, r = mdp.transitions.copy(), mdp.rewards.copy()
+    t.flat[np.flatnonzero(t == 0)[::2]] = -0.0
+    r.flat[0] = -0.0
+    return FiniteHorizonMdp(t, r)
+
+
+def files():
+    """("files", digest of the saved bytes and the loaded arrays) for a few instances."""
+    instances = [random_mdp(12, 3, 4, seed=0), random_mdp(30, 4, 5, sparsity=0.1, seed=1),
+                 random_mdp(1, 3, 4, seed=2),
+                 with_negative_zeros(random_mdp(6, 2, 3, sparsity=0.5, seed=3))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mdp.json"
+        for mdp in instances:
+            mdp.save(path)
+            back = FiniteHorizonMdp.load(path)
+            parts = [path.read_bytes(), back.transitions.tobytes(), back.rewards.tobytes()]
+            yield "files", hashlib.sha256(b"\0".join(parts)).digest()
+
+
 def main() -> None:
     by_name = {}
     total, count = hashlib.sha256(), 0
-    for name, digest in runs():
+    for name, digest in [*runs(), *files()]:
         by_name.setdefault(name, hashlib.sha256()).update(digest)
         total.update(digest)
         count += 1

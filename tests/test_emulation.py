@@ -148,6 +148,22 @@ def test_qme2_contract_error_is_structured():
     assert err.value.sigma_bound == 0.1
 
 
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per_row"])
+def test_qme2_rejects_infinite_sigma_bound_before_any_charge_or_draw(per_row):
+    # eps < 4 * inf holds, so only the bound's own check stands between it
+    # and math.ceil(inf), which raised a bare OverflowError.
+    with pytest.raises(ContractViolation):
+        qme2_query_count(math.inf, 0.1, 0.1, CFG)
+    p = np.array([[0.5, 0.5], [0.25, 0.75]])
+    bound = np.array([0.5, math.inf]) if per_row else math.inf
+    ledger, rng = QueryLedger(), fresh_rng()
+    before = rng.bit_generator.state
+    with pytest.raises(ContractViolation):
+        qme2_emulated((p, [0.2, 0.8]), bound, 0.1, 0.1, CFG, rng, ledger=ledger)
+    assert ledger.total == 0
+    assert rng.bit_generator.state == before
+
+
 def test_qme2_debug_check_catches_variance_lies():
     config = SubroutineConfig(rng_seed=0, debug_checks=True)
     with pytest.raises(ContractViolation, match="variance"):
@@ -224,6 +240,16 @@ def test_btp_formula_replay():
 def test_btp_rejects_bad_eta():
     with pytest.raises(ContractViolation):
         btp_cost(eps=0.1, eta=0.6)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_btp_rejects_non_finite_eps(eps):
+    ledger = QueryLedger()
+    with pytest.raises(ContractViolation):
+        btp_multiplier(eps, 0.25)
+    with pytest.raises(ContractViolation):
+        btp_cost(eps, 0.25, ledger)
+    assert ledger.total == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ summation, definitional variance enumeration) rather than by the code paths
 under test.
 """
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qvilab import (
     DiscreteDistribution,
@@ -107,6 +110,165 @@ def test_loader_rejects_mismatched_declared_shape():
     blob["S"] = 4
     with pytest.raises(MdpValidationError, match="declared"):
         FiniteHorizonMdp.from_json(blob)
+
+
+# ---------------------------------------------------------------------------
+# the file format: save and load one step at a time
+# ---------------------------------------------------------------------------
+
+# Entries whose text is easy to get wrong: the sign of zero, the smallest
+# subnormal, a tiny normal, and one.
+SPECIAL = [-0.0, 5e-324, 1e-300, 1.0]
+FILE_FORMAT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def instances(draw):
+    """Dense, sparse and S = 1 instances, some zeros and rewards made special entries."""
+    n_s, n_a, horizon = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    base = random_mdp(n_s, n_a, horizon, sparsity=draw(st.sampled_from([1.0, 0.5, 0.1])),
+                      seed=draw(st.integers(0, 999)))
+    t, r = base.transitions.copy(), base.rewards.copy()
+    zeros = np.flatnonzero(t == 0)
+    for k, value in draw(st.lists(st.tuples(st.integers(0, 999), st.sampled_from(SPECIAL[:3])),
+                                  max_size=4)):
+        if zeros.size:
+            t.flat[zeros[k % zeros.size]] = value
+    for k, value in draw(st.lists(st.tuples(st.integers(0, 999), st.sampled_from(SPECIAL + [0.0])),
+                                  max_size=4)):
+        r.flat[k % r.size] = value
+    return FiniteHorizonMdp(t, r)
+
+
+def assert_same_tables(a, b):
+    assert a.transitions.tobytes() == b.transitions.tobytes()
+    assert a.rewards.tobytes() == b.rewards.tobytes()
+
+
+@FILE_FORMAT
+@given(mdp=instances())
+def test_save_writes_json_dumps_of_to_json_and_load_reads_it_back(tmp_path_factory, mdp):
+    path = tmp_path_factory.mktemp("io") / "m.json"
+    mdp.save(path)
+    assert path.read_text() == json.dumps(mdp.to_json())
+    assert_same_tables(FiniteHorizonMdp.load(path), mdp)
+
+
+def test_save_keeps_the_sign_of_zero_and_subnormals(tmp_path):
+    t = np.array([[[[1.0, -0.0, 0.0]]] * 3])
+    t[0, 1, 0] = [1.0 - 1e-300, 1e-300, 5e-324]
+    r = np.array([[[-0.0], [5e-324], [1.0]]])
+    mdp = FiniteHorizonMdp(t, r)
+    path = tmp_path / "m.json"
+    mdp.save(path)
+    text = path.read_text()
+    assert text == json.dumps(mdp.to_json())
+    assert "[[[1.0, -0.0, 0.0]], [[1.0, 1e-300, 5e-324]], [[1.0, -0.0, 0.0]]]" in text
+    assert_same_tables(FiniteHorizonMdp.load(path), mdp)
+
+
+REFORMATS = {
+    "indent": lambda obj: json.dumps(obj, indent=2),
+    "compact": lambda obj: json.dumps(obj, separators=(",", ":")),
+    "reordered": lambda obj: json.dumps(dict(reversed(list(obj.items())))),
+    "duplicated": lambda obj: ('{"rewards": [[[0.5]]], "transitions": 3, "H": 9,'
+                               + json.dumps(obj)[1:]),
+    "whitespace": lambda obj: " \n\t" + json.dumps(obj).replace(", ", " ,\n ") + "\r\n",
+}
+
+
+@pytest.mark.parametrize("layout", sorted(REFORMATS))
+@settings(FILE_FORMAT, max_examples=15)
+@given(mdp=instances())
+def test_load_reads_any_layout_as_json_load_and_from_json_do(tmp_path_factory, mdp, layout):
+    path = tmp_path_factory.mktemp("io") / "m.json"
+    path.write_text(REFORMATS[layout](mdp.to_json()))
+    with open(path) as fh:
+        expected = FiniteHorizonMdp.from_json(json.load(fh))
+    assert_same_tables(FiniteHorizonMdp.load(path), expected)
+    assert_same_tables(expected, mdp)
+
+
+MALFORMED = {
+    "trailing data": lambda text: text + " {}",
+    "top-level list": lambda text: "[" + text + "]",
+    "ragged step": lambda text: text.replace("]], [[", "], [", 1),
+    "scalar table": lambda text: text.replace('"transitions": [', '"transitions": 3, "x": [', 1),
+    "no rewards": lambda text: text.replace('"rewards"', '"reward"'),
+    "empty table": lambda text: text.replace('"rewards": [', '"rewards": [], "x": [', 1),
+    "object step": lambda text: text.replace('"transitions": [', '"transitions": [{}, ', 1),
+    "string step": lambda text: text.replace('"transitions": [', '"transitions": ["a", ', 1),
+    "unquoted key": lambda text: text.replace('"S"', "S"),
+    "missing colon": lambda text: text.replace('"A":', '"A"'),
+    "missing comma": lambda text: text.replace("]], [[", "]] [[", 1),
+    "trailing comma": lambda text: text[:-1] + ", }",
+}
+
+
+def assert_load_raises_value_error(path, text):
+    path.write_text(text)
+    with pytest.raises(ValueError):  # a JSONDecodeError or an MdpValidationError
+        FiniteHorizonMdp.load(path)
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+@settings(FILE_FORMAT, max_examples=10)
+@given(mdp=instances())
+def test_load_rejects_malformed_files_with_a_value_error(tmp_path_factory, mdp, kind):
+    text = json.dumps(mdp.to_json())
+    bad = MALFORMED[kind](text)
+    assume(bad != text)  # the ragged and missing-comma edits need S > 1 or H > 1
+    assert_load_raises_value_error(tmp_path_factory.mktemp("io") / "m.json", bad)
+
+
+@FILE_FORMAT
+@given(mdp=instances(), data=st.data())
+def test_load_rejects_truncated_files_with_a_value_error(tmp_path_factory, mdp, data):
+    text = json.dumps(mdp.to_json())
+    cut = data.draw(st.integers(0, len(text) - 1), label="cut")
+    assert_load_raises_value_error(tmp_path_factory.mktemp("io") / "m.json", text[:cut])
+
+
+def test_file_io_memory_is_one_step_and_construction_copies_nothing(tmp_path):
+    # Save holds one step as text, load one step as Python floats plus the
+    # file's text, and neither random_mdp nor load copies its finished table.
+    n_s, n_a, horizon = 100, 10, 20
+    table_bytes = horizon * n_s * n_a * n_s * 8
+    path = tmp_path / "io.json"
+    peaks = {}
+    tracemalloc.start()
+    try:
+        mdp = random_mdp(n_s, n_a, horizon, sparsity=0.1, seed=0)
+        peaks["random_mdp"] = tracemalloc.get_traced_memory()[1]
+        for name, op in (("save", lambda: mdp.save(path)),
+                         ("load", lambda: FiniteHorizonMdp.load(path))):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            op()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peaks["random_mdp"] < 1.5 * table_bytes
+    assert peaks["save"] < 0.25 * table_bytes
+    assert peaks["load"] < 3 * table_bytes
+
+
+def test_public_constructor_copies_and_built_tables_are_read_only(tmp_path):
+    t = np.full((1, 2, 1, 2), 0.5)
+    r = np.zeros((1, 2, 1))
+    mdp = FiniteHorizonMdp(t, r)
+    t[0, 0, 0] = [1.0, 0.0]
+    r[0, 0, 0] = 1.0
+    assert mdp.transitions[0, 0, 0].tolist() == [0.5, 0.5]
+    assert mdp.rewards[0, 0, 0] == 0.0
+    built = random_mdp(3, 2, 2, sparsity=0.5, seed=1)
+    path = tmp_path / "m.json"
+    built.save(path)
+    for one in (mdp, built, FiniteHorizonMdp.load(path)):
+        for table in (one.transitions, one.rewards):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 0.25
 
 
 def test_discrete_distribution_validates():
