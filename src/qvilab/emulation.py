@@ -7,21 +7,23 @@ exact answer, the error contract is enforced *by construction*: in faithful
 mode every estimate is within eps of the true mean.
 
 Every subroutine takes one row or a stack of rows.  A mean estimator takes
-distributions ``p`` of shape (..., N), one function ``f`` of shape (N,), and
-an ``eps`` (and qme2's ``sigma_bound``) that is a scalar or one value per
-row; it returns (...)-shaped estimates and failure flags.  The search maps
-values of shape (..., N) to (...)-shaped indices.  A call checks its
-preconditions once, computes the true means as one ``P @ f`` and makes one
-ledger charge per oracle: the per-call count summed over the rows.  The mean
-estimators share one tail, :func:`_estimate`.  A call costs a fixed handful of
-numpy operations plus O(rows) work (O(rows * N) for ``P @ f`` and the checks):
-no Python loop over rows, and the count formula runs once per distinct value.
+distributions ``p`` of shape (..., N), a function ``f`` and an ``eps`` (and
+qme2's ``sigma_bound``) that is a scalar or one value per row; it returns
+(...)-shaped estimates and failure flags.  ``f`` is one function (N,) for all
+rows or, for qme1/qme2, one per leading index of ``p``: (L..., N) against
+``p`` of shape (L..., M..., N).  The search maps values of shape (..., N) to
+(...)-shaped indices.  A call checks its preconditions once, computes the
+true means in one product and makes one ledger charge per oracle: the
+per-call count summed over the rows.  The mean estimators share one tail,
+:func:`_estimate`.  A call costs a fixed handful of numpy operations plus
+O(rows) work (O(rows * N) for the product and the checks): no Python loop
+over rows, and the count formula runs once per distinct value.
 
 Draw protocol.  Each estimator call draws, in this order:
 
 1. with failure injection on, one failure uniform per row, in C order;
-2. for each failed row, in C order, its value, uniform over
-   ``[f.min(), f.max()]``;
+2. for each failed row, in C order, its value, uniform over the
+   [min, max] of the row's function;
 3. under ``uniform_interval`` noise, the noise of each non-failed row, in
    C order.
 
@@ -114,14 +116,29 @@ class NoisyEstimate:
 
 
 def _stack(p, f) -> tuple[np.ndarray, np.ndarray]:
-    """The distributions (N,) or (..., N) and the one function (N,) asked about."""
+    """The distributions (N,) or (..., N) and the function asked about: one (N,), or
+    one per leading index of ``p``, (L..., N) for ``p`` of shape (L..., M..., N)."""
     p = np.asarray(p, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64).reshape(-1)
-    if p.ndim == 0 or p.shape[-1] != f.size:
+    f = np.asarray(f, dtype=np.float64)
+    if f.ndim < 2:
+        f = f.reshape(-1)
+    elif f.ndim >= p.ndim or f.shape[:-1] != p.shape[: f.ndim - 1]:
+        raise ContractViolation(f"functions {f.shape} do not match distributions {p.shape}")
+    if p.ndim == 0 or p.shape[-1] != f.shape[-1]:
         raise ContractViolation("distribution and function must have the same length")
-    if f.size == 0:
+    if f.shape[-1] == 0:
         raise ContractViolation("empty mean query")
     return p, f
+
+
+def _means(p: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Every row's mean of its function: ``p @ f``, or for one function per leading
+    index one batched (L..., M..., N) @ (L..., 1..., N, 1) product, which gives
+    index l's rows the bits of ``p[l] @ f[l]``."""
+    if f.ndim == 1:
+        return p @ f
+    lead = f.shape[:-1] + (1,) * (p.ndim - f.ndim - 1)
+    return np.matmul(p, f.reshape(lead + (f.shape[-1], 1)))[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +180,10 @@ def qme2_query_count(
     ratio = sigma_bound / eps
     if not 0 <= ratio < math.inf:
         raise ContractViolation(f"sigma_bound / eps must be finite and >= 0, got {ratio!r}")
-    base = math.ceil(ratio * max(1.0, math.log(ratio)) ** 2) if ratio > 0 else 0
-    return max(1, base) * _repeats(delta, config)
+    base = ratio * max(1.0, math.log(ratio)) ** 2 if ratio > 0 else 0.0
+    if base == math.inf:
+        raise ContractViolation(f"sigma_bound / eps = {ratio!r} overflows the query count")
+    return max(1, math.ceil(base)) * _repeats(delta, config)
 
 
 def qmebo_query_count(n: int, eps: float, delta: float, config: SubroutineConfig) -> int:
@@ -228,14 +247,19 @@ def _estimate(p, f, charged, eps, delta, config, rng, ledger, oracles) -> NoisyE
     moves within its row's ``eps`` (a :func:`_rows` value) as the noise mode says.
     """
     _bill(ledger, oracles, charged)
-    true_mean = (p @ f).reshape(-1)
+    true_mean = _means(p, f).reshape(-1)
     value = true_mean.copy()
     failed, n_failed, ok = np.zeros(value.size, dtype=bool), 0, slice(None)
     if config.failure_injection:
         failed = rng.random(value.size) < delta
         n_failed = np.count_nonzero(failed)
+    shape = p.shape[:-1]
     if n_failed:  # the mask is touched only when some row failed
-        value[failed] = rng.uniform(f.min(), f.max(), size=n_failed)
+        lo, hi = f.min(-1), f.max(-1)  # a row draws over its own function's range
+        if f.ndim > 1:
+            lead = f.shape[:-1] + (1,) * (p.ndim - f.ndim)
+            lo, hi = (_rows(x.reshape(lead), shape)[failed] for x in (lo, hi))
+        value[failed] = rng.uniform(lo, hi, size=n_failed)
         ok = ~failed
     if config.noise_mode != "exact":
         row_eps = eps[ok] if eps.ndim else float(eps)
@@ -245,7 +269,6 @@ def _estimate(p, f, charged, eps, delta, config, rng, ledger, oracles) -> NoisyE
         else:
             noise = -row_eps if config.noise_mode == "adversarial_low" else row_eps
         value[ok] += noise
-    shape = p.shape[:-1]
     return NoisyEstimate(
         _shaped(value, shape), charged, _shaped(failed, shape), _shaped(true_mean, shape)
     )
@@ -329,8 +352,8 @@ def qme2_emulated(
         sigma_bound, eps = np.broadcast_arrays(sigma_bound, eps)
         raise Qme2ContractError(float(eps.flat[first]), float(sigma_bound.flat[first]))
     if config.debug_checks:
-        mean = (p @ f).reshape(-1)
-        var = np.maximum((p @ (f * f)).reshape(-1) - mean * mean, 0.0)
+        mean = _means(p, f).reshape(-1)
+        var = np.maximum(_means(p, f * f).reshape(-1) - mean * mean, 0.0)
         bound = np.broadcast_to(sigma_bound**2, var.shape)
         over = np.flatnonzero(var > bound + 1e-9)
         if over.size:
@@ -346,12 +369,12 @@ def qme2_emulated(
 
 
 def check_binary_query(p, f) -> tuple[np.ndarray, np.ndarray]:
-    """The rows (..., N) and function (N,) of a binary-oracle mean query, checked.
+    """The rows (..., N) and the one function (N,) of a binary-oracle mean query, checked.
 
     Every row must be a probability vector and every function value must lie
     in [0, 1]; raises :class:`ContractViolation` otherwise.
     """
-    probs, values = _stack(p, f)
+    probs, values = _stack(p, np.reshape(f, -1))
     if ((probs < -STOCHASTICITY_TOL) | (probs > 1.0 + STOCHASTICITY_TOL)).any():
         raise ContractViolation("probabilities must lie in [0, 1]")
     sums = np.reshape(probs.sum(axis=-1), -1)

@@ -7,7 +7,6 @@ merge their ledgers by summation afterwards.
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 # Canonical counter names, one per oracle kind the algorithms may touch:
 #   classical_mdp        - classical table lookups (r, P entries)
@@ -65,13 +64,6 @@ class QueryLedger:
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True)
-
-    @classmethod
-    def merged(cls, ledgers: Iterable["QueryLedger"]) -> "QueryLedger":
-        out = cls()
-        for one in ledgers:
-            out.merge(one)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         nonzero = {k: v for k, v in self.counts.items() if v}

@@ -91,9 +91,6 @@ class EmulatedProvider:
     def qme1_call_cost(self, u: float, eps: float, delta: float) -> int:
         return em.qme1_query_count(u, eps, delta, self.config)
 
-    def qme2_call_cost(self, sigma_bound: float, eps: float, delta: float) -> int:
-        return em.qme2_query_count(sigma_bound, eps, delta, self.config)
-
     def qmebo_call_cost(self, n: int, eps: float, delta: float) -> int:
         return em.qmebo_query_count(n, eps, delta, self.config)
 

@@ -23,8 +23,9 @@ Within a layer the per-(s, a) estimates are independent, so each backward
 step makes one provider call per estimator kind over the layer's (S, A)
 stack of transition rows, and one search call over its (S, A) table of
 action values; the provider draws for the rows in C order (see the draw
-protocol in :mod:`qvilab.emulation`).  Layers and epochs are strictly
-sequential.  A run keeps a single random stream, so it is reproducible.
+protocol in :mod:`qvilab.emulation`); ``qvi4`` makes its reference estimates
+once per epoch, over all steps.  Layers and epochs are strictly sequential.
+A run keeps a single random stream, so it is reproducible.
 
 Every run keeps one trace: a :class:`LayerRecord` per backward step (per
 epoch and step for ``qvi4``) with the step's wall time, its ledger delta per
@@ -61,7 +62,9 @@ class LayerRecord:
     ``queries`` is the step's ledger delta per oracle and ``values`` the V[h]
     row the step produced; ``epoch`` is 0 except in qvi4.  A search counts as
     failed when the action it returned scores below the searched row's
-    maximum.
+    maximum.  qvi4's epoch-wide reference estimates run before its step
+    H - 1, whose record holds their time, charges and failed estimates, so
+    the records' queries still sum to the ledger.
     """
 
     epoch: int
@@ -405,13 +408,14 @@ def qvi4(
     """Near-optimal policy, values, and Q tables via the epoch scheme.
 
     Runs K = ceil(log2(H/eps)) + 1 epochs with error targets halving each
-    epoch.  Per epoch, one backward sweep; step h estimates, for all (s, a)
-    in one call each, a clipped variance (two range-bounded estimations), the
+    epoch.  The reference terms depend only on the epoch-start values, so an
+    epoch first makes them for every (h, s, a), one call each over the whole
+    table: a clipped variance (two range-bounded estimations) and the
     reference expectation at a variance-scaled error (the estimated deviation
-    doubles as the variance bound, so the bound/error ratio is a constant) and
-    the correction expectation, then makes a monotone update that never lets
-    values regress below the epoch-start reference.  The reference terms
-    depend only on the epoch-start values, so each step can make them.
+    doubles as the variance bound, so the bound/error ratio is a constant).
+    Its backward sweep then estimates, per step and for all (s, a) in one
+    call, the correction expectation, and makes a monotone update that never
+    lets values regress below the epoch-start reference: 3K + K * H calls.
     """
     _validate_eps(eps, math.sqrt(mdp.horizon), "sqrt(H)")
     _validate_delta(delta)
@@ -421,7 +425,7 @@ def qvi4(
     zeta = delta / (4.0 * epochs * horizon * n_s * n_a)
     idx = np.arange(n_s)
 
-    u, err_scale = float(horizon), c * eps / horizon**1.5
+    u, err_scale, p = float(horizon), c * eps / horizon**1.5, mdp.transitions
     v = np.zeros((horizon + 1, n_s))
     pi = np.zeros((n_s, horizon), dtype=np.int64)
     q = np.zeros((horizon, n_s, n_a))
@@ -429,25 +433,26 @@ def qvi4(
     for k in range(epochs):
         eps_k = horizon / 2.0**k
         err_g = c * eps_k / horizon
-        v_start, pi_start, squares = v, pi, v * v
+        v_start, pi_start, ref = v, pi, v[1:]  # ref[h]: step h's reference values
+        second = provider.mean_bounded(p, ref * ref, u * u, b, zeta, ledger)
+        first = provider.mean_bounded(p, ref, u, b / horizon, zeta, ledger)
+        spread = np.sqrt(np.maximum(second.value - first.value**2, 0.0) + 4.0 * b)
+        err = err_scale * spread
+        x = provider.mean_with_variance_bound(p, ref, spread, err, zeta, ledger)
+        x_low = x.value - err
+        failed = sum(int(np.count_nonzero(e.failed)) for e in (second, first, x))
         v = np.zeros((horizon + 1, n_s))
         pi = np.zeros((n_s, horizon), dtype=np.int64)
         for h in range(horizon - 1, -1, -1):
-            p, ref = mdp.transitions[h], v_start[h + 1]
-            second = provider.mean_bounded(p, squares[h + 1], u * u, b, zeta, ledger)
-            first = provider.mean_bounded(p, ref, u, b / horizon, zeta, ledger)
-            spread = np.sqrt(np.maximum(second.value - first.value**2, 0.0) + 4.0 * b)
-            err = err_scale * spread
-            x = provider.mean_with_variance_bound(p, ref, spread, err, zeta, ledger)
-            g = provider.mean_bounded(p, v[h + 1] - ref, 2.0 * eps_k, err_g, zeta, ledger)
-            np.maximum(mdp.rewards[h] + (x.value - err) + (g.value - err_g), 0.0, out=q[h])
+            g = provider.mean_bounded(p[h], v[h + 1] - ref[h], 2.0 * eps_k, err_g, zeta, ledger)
+            np.maximum(mdp.rewards[h] + x_low[h] + (g.value - err_g), 0.0, out=q[h])
             greedy = q[h].argmax(axis=1)
             greedy_v = np.minimum(q[h][idx, greedy], u)
             keep = greedy_v <= v_start[h]
             v[h] = np.where(keep, v_start[h], greedy_v)
             pi[:, h] = np.where(keep, pi_start[:, h], greedy)
-            failed = sum(int(np.count_nonzero(e.failed)) for e in (second, first, x, g))
-            trace.close(k, h, failed, 0, v[h])
+            trace.close(k, h, failed + int(np.count_nonzero(g.failed)), 0, v[h])
+            failed = 0  # the reference pass's failures count in step H - 1's record
     params = {"eps": eps, "delta": delta, "c": c, "b": b, "epochs": epochs,
               "noise_mode": provider.config.noise_mode}
     return _result(

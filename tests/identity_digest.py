@@ -12,7 +12,13 @@ without its seconds and the provider's final random state.  The instance file
 format contributes, for a dense, a sparse, an S = 1 instance and one holding
 -0.0, the bytes ``save`` writes and the arrays ``load`` reads back.  The
 script prints one SHA-256 per algorithm over its runs, one over the files and
-one over all of them.  It is not a test module, so pytest does not collect it.
+one over all of them.  It then prints one SHA-256 per (algorithm, noise mode,
+injection) split, so a change that may alter only some draws can show which
+splits it left alone.  A split digest covers V, the policy, Q, the ledger
+counts, the final random state and, per trace record, its epoch, step and
+value row, but the trace's queries and failures only as totals per epoch:
+it stays the same when a change moves charges between the records of an
+epoch.  It is not a test module, so pytest does not collect it.
 """
 from __future__ import annotations
 
@@ -44,21 +50,49 @@ SEEDS = (0, 1, 2)
 EPS, DELTA = 0.4, 0.1
 
 
+def _outputs(result) -> list:
+    """The bytes of one run's V, policy, Q and ledger."""
+    return [result.values.values.tobytes(), result.policy.actions.tobytes(),
+            b"" if result.qvalues is None else result.qvalues.qvalues.tobytes(),
+            json.dumps(result.ledger.as_dict(), sort_keys=True).encode()]
+
+
+def _random_state(provider) -> bytes:
+    return json.dumps(provider.rng.bit_generator.state, sort_keys=True).encode()
+
+
 def run_digest(result, provider) -> bytes:
-    """The bytes of one run's outputs, its trace (seconds aside) and final random state."""
-    parts = [result.values.values.tobytes(), result.policy.actions.tobytes(),
-             b"" if result.qvalues is None else result.qvalues.qvalues.tobytes(),
-             json.dumps(result.ledger.as_dict(), sort_keys=True).encode()]
+    """The digest of one run's outputs, its whole trace (seconds aside) and final
+    random state."""
+    parts = _outputs(result)
     for record in result.trace:
         head = (record.epoch, record.h, sorted(record.queries.items()),
                 record.failed_estimates, record.failed_searches)
         parts += [json.dumps(head).encode(), record.values.tobytes()]
-    parts.append(json.dumps(provider.rng.bit_generator.state, sort_keys=True).encode())
+    parts.append(_random_state(provider))
+    return hashlib.sha256(b"\0".join(parts)).digest()
+
+
+def split_digest(result, provider) -> bytes:
+    """The digest of one run's outputs, final random state, trace value rows and
+    per-epoch trace totals."""
+    parts = [*_outputs(result), _random_state(provider)]
+    totals = {}
+    for record in result.trace:
+        parts += [json.dumps((record.epoch, record.h)).encode(), record.values.tobytes()]
+        queries, failed = totals.setdefault(record.epoch, ({}, [0, 0]))
+        for name, n in record.queries.items():
+            queries[name] = queries.get(name, 0) + n
+        failed[0] += record.failed_estimates
+        failed[1] += record.failed_searches
+    parts.append(json.dumps(sorted((k, sorted(q.items()), f) for k, (q, f) in totals.items()))
+                 .encode())
     return hashlib.sha256(b"\0".join(parts)).digest()
 
 
 def runs():
-    """(label, run digest) for every algorithm, noise mode, injection setting and seed."""
+    """(algorithm, split, result, provider) for every algorithm, noise mode, injection
+    setting and seed; the split names the noise mode and injection setting."""
     for name in ALGORITHMS:
         for mode in NOISE_MODES:
             for injection in (False, True):
@@ -70,13 +104,13 @@ def runs():
                     provider = EmulatedProvider(config)
                     result = solve(name, mdp, provider, QueryLedger(), eps=EPS, delta=DELTA,
                                    eta=eta)
-                    yield name, run_digest(result, provider)
+                    yield name, f"{mode}/{'fail' if injection else 'nofail'}", result, provider
     for injection in (False, True):
         for seed in SEEDS:
             config = SubroutineConfig(failure_injection=injection, rng_seed=seed)
             provider = StatevectorProvider(config, fmt=FixedPointFormat(16, 12))
             result = qvi2(random_mdp(3, 2, 2, seed=seed), 1.0, DELTA, provider, QueryLedger())
-            yield "qvi2_sv", run_digest(result, provider)
+            yield "qvi2_sv", "fail" if injection else "nofail", result, provider
 
 
 def with_negative_zeros(mdp):
@@ -102,15 +136,21 @@ def files():
 
 
 def main() -> None:
-    by_name = {}
+    by_name, by_split = {}, {}
     total, count = hashlib.sha256(), 0
-    for name, digest in [*runs(), *files()]:
+    digests = []
+    for name, split, result, provider in runs():
+        digests.append((name, run_digest(result, provider)))
+        by_split.setdefault((name, split), hashlib.sha256()).update(split_digest(result, provider))
+    for name, digest in [*digests, *files()]:
         by_name.setdefault(name, hashlib.sha256()).update(digest)
         total.update(digest)
         count += 1
     for name, h in by_name.items():
         print(f"{name:8} {h.hexdigest()}")
     print(f"{'all':8} {total.hexdigest()}  ({count} runs)")
+    for (name, split), h in by_split.items():
+        print(f"{name:8} {split:28} {h.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -164,6 +164,23 @@ def test_qme2_rejects_infinite_sigma_bound_before_any_charge_or_draw(per_row):
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per_row"])
+def test_qme2_rejects_a_finite_bound_whose_count_overflows_before_any_charge_or_draw(per_row):
+    # ratio * log(ratio)^2 passes the float range for ratio = 1e306, and
+    # math.ceil(inf) raised a bare OverflowError.
+    with pytest.raises(ContractViolation, match="overflows"):
+        qme2_query_count(1e306, 1.0, 0.1, CFG)
+    assert qme2_query_count(1e300, 1.0, 0.1, CFG) > 0
+    p = np.array([[0.5, 0.5], [0.25, 0.75]])
+    bound = np.array([0.5, 1e306]) if per_row else 1e306
+    ledger, rng = QueryLedger(), fresh_rng()
+    before = rng.bit_generator.state
+    with pytest.raises(ContractViolation, match="overflows"):
+        qme2_emulated((p, [0.2, 0.8]), bound, 1.0, 0.1, CFG, rng, ledger=ledger)
+    assert ledger.total == 0
+    assert rng.bit_generator.state == before
+
+
 def test_qme2_debug_check_catches_variance_lies():
     config = SubroutineConfig(rng_seed=0, debug_checks=True)
     with pytest.raises(ContractViolation, match="variance"):
@@ -476,6 +493,91 @@ def test_batch_estimates_meet_the_contract_row_by_row(estimator, mode, injection
                 zip(p.reshape(-1, f.size), row_eps)]
         np.testing.assert_allclose(value, [r.value for r in rows], rtol=0, atol=1e-12)
         assert rng.bit_generator.state == stack_rng.bit_generator.state
+
+
+@st.composite
+def function_stacks(draw):
+    """Distributions of shape (L..., M..., N) with L and M not empty, one function
+    in [0, 1] per leading index (shape (L..., N)), an eps that is a scalar or one
+    value per row, and a seed."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    rows = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    n = draw(st.integers(1, 5))
+    weights = draw(hnp.arrays(np.float64, lead + rows + (n,), elements=st.floats(0.0, 1.0)))
+    weights += weights.sum(axis=-1, keepdims=True) == 0  # no all-zero row
+    f = draw(hnp.arrays(np.float64, lead + (n,), elements=st.floats(0.0, 1.0)))
+    eps = draw(st.one_of(st.floats(0.01, 0.5),
+                         hnp.arrays(np.float64, lead + rows, elements=st.floats(0.01, 0.5))))
+    return weights / weights.sum(axis=-1, keepdims=True), f, eps, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("injection", [False, True], ids=["faithful", "inject"])
+@pytest.mark.parametrize("mode", NOISE_MODES)
+@pytest.mark.parametrize("estimator", ["qme1", "qme2"])
+@PROPERTY
+@given(stack=function_stacks())
+def test_one_function_per_leading_index_is_each_index_own_call(estimator, mode, injection,
+                                                                stack):
+    p, f, eps, seed = stack
+    call, (per_call, oracles) = ESTIMATORS[estimator], PER_CALL[estimator]
+    config = SubroutineConfig(noise_mode=mode, failure_injection=injection, debug_checks=True)
+    ledger, stack_rng = QueryLedger(), np.random.default_rng(seed)
+    est = call(p, f, eps, BATCH_DELTA, config, stack_rng, ledger)
+
+    lead, shape, n = f.shape[:-1], p.shape[:-1], f.shape[-1]
+    index_of_row = np.broadcast_to(
+        np.arange(math.prod(lead)).reshape(lead + (1,) * (len(shape) - len(lead))), shape
+    ).reshape(-1)
+    funcs, rows = f.reshape(-1, n), p.reshape(-1, n)
+    row_eps = np.broadcast_to(eps, shape).reshape(-1)
+    assert np.shape(est.value) == np.shape(est.failed) == np.shape(est.true_mean) == shape
+    # each leading index's rows carry the bits of that index's own product
+    by_index = np.stack([p[l] @ f[l] for l in np.ndindex(lead)]).reshape(-1)
+    np.testing.assert_array_equal(np.reshape(est.true_mean, -1), by_index)
+    charged = sum(per_call(n, i, float(e), config) for i, e in enumerate(row_eps))
+    assert est.charged_queries == charged
+    assert ledger.as_dict() == dict.fromkeys(ORACLES, 0) | dict.fromkeys(oracles, charged)
+
+    # The draw protocol: a failed row draws over its own function's range.
+    rng = np.random.default_rng(seed)
+    replay_failed = np.array([injection and rng.random() < BATCH_DELTA for _ in rows])
+    replay = by_index.copy()
+    for i in np.flatnonzero(replay_failed):
+        own = funcs[index_of_row[i]]
+        replay[i] = rng.uniform(own.min(), own.max())
+    for i in np.flatnonzero(~replay_failed):
+        if mode == "uniform_interval":
+            replay[i] += rng.uniform(-row_eps[i], row_eps[i])
+        elif mode != "exact":
+            replay[i] += row_eps[i] if mode == "adversarial_high" else -row_eps[i]
+    np.testing.assert_array_equal(np.reshape(est.failed, -1), replay_failed)
+    np.testing.assert_array_equal(np.reshape(est.value, -1), replay)
+
+    if not injection:  # the stack draws what one call per leading index draws, in C order
+        rng = np.random.default_rng(seed)
+        eps_of = np.broadcast_to(eps, shape)
+        parts = [call(p[l], f[l], eps_of[l], BATCH_DELTA, config, rng) for l in np.ndindex(lead)]
+        np.testing.assert_array_equal(
+            np.reshape(est.value, -1), np.concatenate([np.reshape(r.value, -1) for r in parts]))
+        assert rng.bit_generator.state == stack_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "p_shape, f_shape",
+    [((2, 3, 4), (3, 4)), ((2, 3, 4), (2, 3, 4)), ((4,), (1, 4)), ((2, 3, 4), (2, 1, 4))],
+)
+def test_functions_must_match_a_proper_prefix_of_the_leading_shape(p_shape, f_shape):
+    p = np.full(p_shape, 0.25)
+    with pytest.raises(ContractViolation, match="do not match"):
+        qme1_emulated((p, np.zeros(f_shape)), 1.0, 0.1, 0.1, CFG, fresh_rng())
+
+
+def test_range_check_covers_every_function():
+    p = np.full((2, 3, 4), 0.25)
+    f = np.zeros((2, 4))
+    f[1, 2] = 1.5
+    with pytest.raises(ContractViolation, match="function values"):
+        qme1_emulated((p, f), 1.0, 0.1, 0.1, CFG, fresh_rng())
 
 
 @pytest.mark.parametrize("injection", [False, True], ids=["faithful", "inject"])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvilab import (
     ALGORITHMS,
@@ -227,7 +229,8 @@ class RecordingProvider(EmulatedProvider):
     """Records (method name, positional arguments, estimate) of every estimator call.
 
     The algorithms make one call per estimator kind and backward step, over
-    the step's (S, A) stack of rows, so each record holds (S, A) arrays.
+    the step's (S, A) stack of rows, so each record holds (S, A) arrays;
+    qvi4's three reference calls per epoch cover all steps, (H, S, A).
     """
 
     def __init__(self, config):
@@ -311,56 +314,52 @@ def test_qvi4_value_and_q_sandwich_on_seeded_suite():
 def test_qvi4_epoch_zero_variance_estimates_stay_in_band():
     # Epoch 0's reference values are zero, so its variance calls are told
     # apart by their range: u = H^2 for the second moment, u = H for the
-    # first (the correction call has u = 2H).  Each call covers one step's
-    # (S, A) rows.
+    # first (the correction calls have u = 2H).  An epoch makes each variance
+    # call once, over the whole (H, S, A) table, then one correction call per
+    # step.
     mdp = random_mdp(4, 3, 5, seed=3)
     prov = RecordingProvider(SubroutineConfig(rng_seed=1))
     result = qvi4(mdp, 0.5, 0.1, prov, QueryLedger())
     b, horizon = result.params["b"], mdp.horizon
-    epoch_zero = prov.calls[: 4 * horizon]
+    epoch_zero = prov.calls[: 3 + horizon]
     second = [est.value for name, args, est in epoch_zero
               if name == "mean_bounded" and args[2] == horizon**2]
     first = [est.value for name, args, est in epoch_zero
              if name == "mean_bounded" and args[2] == horizon]
-    assert len(second) == len(first) == horizon
-    y = np.maximum(np.array(second) - np.array(first) ** 2, 0.0)
+    assert len(second) == len(first) == 1
+    y = np.maximum(second[0] - first[0] ** 2, 0.0)
     assert y.shape == (horizon, mdp.num_states, mdp.num_actions)
     band = b + 2 * b / horizon + (b / horizon) ** 2
     assert y.max() <= band
 
 
-def test_qvi4_reference_values_grow_monotonically():
-    mdp = random_mdp(4, 3, 4, seed=5)
-    result = qvi4(mdp, 0.3, 0.1, provider(2), QueryLedger())
-    # v[k + 1] holds epoch k's values; v[0] is the all-zero first reference.
-    v = np.zeros((result.params["epochs"] + 1, mdp.horizon, mdp.num_states))
-    for record in result.trace:
-        v[record.epoch + 1, record.h] = record.values
-    assert (np.diff(v, axis=0) >= -1e-12).all()
-
-
 def test_qvi4_offset_estimators_are_one_sided():
-    # Per step qvi4 makes four calls, each over the step's (S, A) rows: two
-    # variance calls, the reference call x (its only variance-bounded call,
-    # with one error target per row) and then the correction call g, whose
-    # range is u = 2 eps_k.  x and g are the offset estimates.
+    # Per epoch qvi4 makes two variance calls and the reference call x (its
+    # only variance-bounded call, with one error target per row), each over
+    # the whole (H, S, A) table, then one correction call g per step over the
+    # step's (S, A) rows, whose range is u = 2 eps_k.  x and g are the offset
+    # estimates.
     mdp = random_mdp(4, 3, 4, seed=7)
     prov = RecordingProvider(SubroutineConfig(rng_seed=9))
     result = qvi4(mdp, 0.4, 0.1, prov, QueryLedger())
-    per_epoch = 4 * mdp.horizon
-    assert len(prov.calls) == result.params["epochs"] * per_epoch
+    horizon, epochs = mdp.horizon, result.params["epochs"]
+    per_epoch = 3 + horizon
+    assert len(prov.calls) == epochs * per_epoch
     checked = 0
     for i, (name, args, est) in enumerate(prov.calls):
         if name != "mean_with_variance_bound":
             continue
-        g_name, g_args, g_est = prov.calls[i + 1]
-        assert g_name == "mean_bounded" and g_args[2] == 2 * mdp.horizon / 2 ** (i // per_epoch)
-        for eps_call, e in ((args[3], est), (g_args[3], g_est)):
+        assert est.value.shape == (horizon, mdp.num_states, mdp.num_actions)
+        offsets = [(args[3], est)]
+        for g_name, g_args, g_est in prov.calls[i + 1: i + 1 + horizon]:
+            assert g_name == "mean_bounded" and g_args[2] == 2 * horizon / 2 ** (i // per_epoch)
+            offsets.append((g_args[3], g_est))
+        for eps_call, e in offsets:
             z = e.value - eps_call
             assert (e.true_mean - 2 * eps_call - 1e-12 <= z).all()
             assert (z <= e.true_mean + 1e-12).all()
             checked += e.value.size
-    assert checked == len(prov.calls) // 2 * mdp.num_states * mdp.num_actions
+    assert checked == 2 * epochs * horizon * mdp.num_states * mdp.num_actions
 
 
 @DRAW_CONFIGS
@@ -389,6 +388,61 @@ def test_qvi4_rejects_eps_above_sqrt_h():
     mdp = random_mdp(3, 2, 4, seed=0)
     with pytest.raises(ValueError):
         qvi4(mdp, 2.1, 0.1, provider(0), QueryLedger())
+
+
+QVI4_CONTRACT = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def qvi4_runs(draw, injection=(False,)):
+    """A qvi4 run under any noise mode on a generated instance (S, A or H may be 1,
+    rows may be point masses, rewards may be zero), with its instance and eps."""
+    n_s, n_a, horizon = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    mdp = random_mdp(n_s, n_a, horizon, sparsity=draw(st.sampled_from([1.0, 0.5, 0.01])),
+                     seed=draw(st.integers(0, 999)))
+    if draw(st.booleans()):
+        mdp = FiniteHorizonMdp(mdp.transitions, np.zeros_like(mdp.rewards))
+    eps = draw(st.sampled_from([0.3, 0.6, 1.0]))
+    config = SubroutineConfig(noise_mode=draw(st.sampled_from(NOISE_MODES)),
+                              failure_injection=draw(st.sampled_from(injection)),
+                              rng_seed=draw(st.integers(0, 999)))
+    ledger = QueryLedger()
+    return mdp, eps, qvi4(mdp, eps, 0.1, EmulatedProvider(config), ledger), ledger
+
+
+@QVI4_CONTRACT
+@given(run=qvi4_runs())
+def test_qvi4_values_and_q_are_sandwiched(run):
+    mdp, eps, result, _ = run
+    assert sandwich_holds(mdp, result, eps)
+    _, _, q_star = exact_value_iteration(mdp)
+    v_pi = policy_value(mdp, result.policy).values
+    q_pi = mdp.rewards + np.matmul(mdp.transitions, v_pi[1:, None, :, None])[..., 0]
+    q_hat = result.qvalues.qvalues
+    assert (q_star.qvalues - eps - 1e-9 <= q_hat).all()
+    assert (q_hat <= q_pi + 1e-9).all()
+    assert (q_pi <= q_star.qvalues + 1e-9).all()
+
+
+@QVI4_CONTRACT
+@given(run=qvi4_runs(injection=(False, True)))
+def test_qvi4_trace_queries_sum_to_the_ledger(run):
+    mdp, _, result, ledger = run
+    assert len(result.trace) == result.params["epochs"] * mdp.horizon
+    for name in ORACLES:
+        assert sum(record.queries[name] for record in result.trace) == ledger.count(name)
+
+
+@QVI4_CONTRACT
+@given(run=qvi4_runs(injection=(False, True)))
+def test_qvi4_reference_values_grow_monotonically(run):
+    mdp, _, result, _ = run
+    # v[k + 1] holds epoch k's values; v[0] is the all-zero first reference.
+    v = np.zeros((result.params["epochs"] + 1, mdp.horizon, mdp.num_states))
+    for record in result.trace:
+        v[record.epoch + 1, record.h] = record.values
+    assert (np.diff(v, axis=0) >= 0.0).all()
+    np.testing.assert_array_equal(v[-1], result.values.values[:-1])
 
 
 # ---------------------------------------------------------------------------
