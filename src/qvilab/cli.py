@@ -96,7 +96,11 @@ def _cmd_sweep(args) -> int:
         out_path=args.out,
         qms_budget_mode=args.qms_budget,
     )
-    rows = run_experiment(config, jobs=args.jobs)
+    try:
+        rows = run_experiment(config, jobs=args.jobs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     completed = sum(1 for r in rows if r.status == "completed")
     print(f"wrote {len(rows)} rows ({completed} completed) to {args.out}")
     return 0

@@ -4,18 +4,19 @@ One experiment is a cartesian sweep over problem-size and accuracy axes,
 ``trials`` runs per sweep point.  Each (point, trial) coordinate gets its own
 random stream derived from the master seed by a counter scheme (see
 :func:`trial_seed`), so reruns are deterministic and rows never depend on
-execution order.  Results go to a CSV with a frozen, versioned column schema
-plus a JSON sidecar holding the configuration.
+execution order.  Each (S, A, H) instance is generated once, in one task, and
+small sweeps run in-process even with ``jobs > 1``.  Results go to a CSV with
+a frozen, versioned column schema plus a JSON sidecar holding the configuration.
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -168,72 +169,82 @@ def trial_seed(master_seed: int, point_index: int, trial: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-@functools.lru_cache(maxsize=1)
-def _instance(s: int, a: int, h: int, sparsity: float, master_seed: int) -> FiniteHorizonMdp:
-    """The generated instance of one (S, A, H); consecutive points of a size
-    share it (its arrays are read-only)."""
-    return random_mdp(s, a, h, sparsity=sparsity, seed=mdp_seed(master_seed, s, a, h))
+# A sweep whose solves read fewer transition entries (trials * H * S^2 * A over
+# its points) runs in-process.  On a 2-vCPU host a 2-worker pool cost ~11 ms to
+# start plus ~20 ms for the cold first tasks, qvi3 sweeps took 4-9 ns an entry, and a
+# 2-way split saves at most half: break-even near 2 * 30 ms / 6 ns = 1e7.  There
+# the pool lost at 2.6e6 (43 vs 20 ms), tied near 1e7, won at 3.2e7 (108 vs 155).
+_POOL_MIN_ENTRIES = 10_000_000
 
 
-def _run_point(config: ExperimentConfig, point_index: int, point: dict,
-               fixed_mdp: Optional[FiniteHorizonMdp]) -> list[ResultRow]:
-    if fixed_mdp is not None:
-        mdp = fixed_mdp
-    else:
-        mdp = _instance(point["S"], point["A"], point["H"], config.sparsity, config.master_seed)
+def _run_task(config: ExperimentConfig, task: list[tuple[int, dict]],
+              mdp: Optional[FiniteHorizonMdp]) -> list[ResultRow]:
+    """Rows of (point_index, point) pairs sharing one instance (generated if None)."""
+    if mdp is None:
+        s, a, h = (task[0][1][k] for k in "SAH")
+        mdp = random_mdp(s, a, h, sparsity=config.sparsity, seed=mdp_seed(config.master_seed, s, a, h))
     rows = []
-    for trial in range(config.trials):
-        seed = trial_seed(config.master_seed, point_index, trial)
-        common = dict(
-            point_index=point_index, trial=trial, algo=config.algorithm,
-            S=mdp.num_states, A=mdp.num_actions, H=mdp.horizon,
-            eps=point["eps"], delta=point["delta"], eta=point["eta"], seed=seed,
-        )
-        ledger = QueryLedger()
-        provider = EmulatedProvider(SubroutineConfig(
-            noise_mode=config.noise_mode,
-            failure_injection=config.failure_injection,
-            rng_seed=seed,
-        ))
-        try:
-            result = solve(config.algorithm, mdp, provider, ledger, eps=point["eps"],
-                           delta=point["delta"], eta=point["eta"],
-                           qms_budget_mode=config.qms_budget_mode)
-        except InfeasibleParams as exc:
-            rows.append(ResultRow(**common, status="skipped", skip_reason=str(exc),
-                                  success=None, v_gap=None, policy_gap=None,
-                                  q_gap=None, ledger_counts={}))
-            continue
-        # Algorithms that take no eps promise exact outputs.
-        report = eps_optimality_report(mdp, result.policy, result.values, result.qvalues,
-                                       eps=result.params.get("eps", 1e-9))
-        rows.append(ResultRow(**common, status="completed", skip_reason="",
-                              success=report.all_ok, v_gap=report.value_gap,
-                              policy_gap=report.policy_gap, q_gap=report.q_gap,
-                              ledger_counts=ledger.as_dict()))
+    for point_index, point in task:
+        for trial in range(config.trials):
+            seed = trial_seed(config.master_seed, point_index, trial)
+            common = dict(
+                point_index=point_index, trial=trial, algo=config.algorithm,
+                S=mdp.num_states, A=mdp.num_actions, H=mdp.horizon,
+                eps=point["eps"], delta=point["delta"], eta=point["eta"], seed=seed,
+            )
+            ledger = QueryLedger()
+            provider = EmulatedProvider(SubroutineConfig(
+                noise_mode=config.noise_mode,
+                failure_injection=config.failure_injection,
+                rng_seed=seed,
+            ))
+            try:
+                result = solve(config.algorithm, mdp, provider, ledger, eps=point["eps"],
+                               delta=point["delta"], eta=point["eta"],
+                               qms_budget_mode=config.qms_budget_mode)
+            except InfeasibleParams as exc:
+                rows.append(ResultRow(**common, status="skipped", skip_reason=str(exc),
+                                      success=None, v_gap=None, policy_gap=None,
+                                      q_gap=None, ledger_counts={}))
+                continue
+            # Algorithms that take no eps promise exact outputs.
+            report = eps_optimality_report(mdp, result.policy, result.values, result.qvalues,
+                                           eps=result.params.get("eps", 1e-9))
+            rows.append(ResultRow(**common, status="completed", skip_reason="",
+                                  success=report.all_ok, v_gap=report.value_gap,
+                                  policy_gap=report.policy_gap, q_gap=report.q_gap,
+                                  ledger_counts=ledger.as_dict()))
     return rows
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     """Run the sweep; returns rows sorted by (point, trial) and writes outputs.
 
-    With ``jobs > 1`` points are distributed over worker processes; output is
-    independent of the schedule because every coordinate owns its own seed.
+    One task per instance: the points of one (S, A, H) share one generated
+    MDP, and a fixed ``mdp_path`` instance is dealt into ``min(jobs, points)``
+    chunks.  With ``jobs > 1`` the tasks go to worker processes, unless there
+    are fewer than two or the sweep is too small to pay for a pool
+    (``_POOL_MIN_ENTRIES``).  Output is independent of the schedule because
+    every coordinate owns its own seed.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     fixed_mdp = FiniteHorizonMdp.load(config.mdp_path) if config.mdp_path else None
-    points = config.points()
-    rows: list[ResultRow] = []
-    if jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_point, config, i, point, fixed_mdp)
-                for i, point in enumerate(points)
-            ]
-            for future in futures:
-                rows.extend(future.result())
+    points = list(enumerate(config.points()))
+    if fixed_mdp is None:  # the size axes are the outer loops of config.points()
+        tasks = [list(g) for _, g in groupby(points, lambda ip: [ip[1][k] for k in "SAH"])]
     else:
-        for i, point in enumerate(points):
-            rows.extend(_run_point(config, i, point, fixed_mdp))
+        chunks = min(jobs, len(points))
+        tasks = [points[k::chunks] for k in range(chunks)]
+    entries = config.trials * sum(fixed_mdp.transitions.size if fixed_mdp else
+                                  p["H"] * p["S"] ** 2 * p["A"] for _, p in points)
+    workers = min(jobs, len(tasks))
+    if workers < 2 or entries < _POOL_MIN_ENTRIES:
+        rows = [row for task in tasks for row in _run_task(config, task, fixed_mdp)]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = pool.map(_run_task, repeat(config), tasks, repeat(fixed_mdp))
+            rows = [row for task_rows in done for row in task_rows]
     rows.sort(key=lambda r: (r.point_index, r.trial))
     if config.out_path:
         write_csv(rows, config.out_path)

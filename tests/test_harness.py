@@ -5,6 +5,8 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvilab import (
     ORACLES,
@@ -16,6 +18,7 @@ from qvilab import (
     random_mdp,
     run_experiment,
 )
+from qvilab import harness
 from qvilab.cli import main as cli_main
 from qvilab.harness import read_csv, trial_seed, write_csv
 
@@ -90,8 +93,6 @@ def test_skip_reason_with_commas_round_trips_through_csv(tmp_path):
 
 
 def test_sweep_generates_each_size_once(monkeypatch):
-    import qvilab.harness as harness
-
     made = []
 
     def counting_random_mdp(*args, **kwargs):
@@ -99,11 +100,16 @@ def test_sweep_generates_each_size_once(monkeypatch):
         return random_mdp(*args, **kwargs)
 
     monkeypatch.setattr(harness, "random_mdp", counting_random_mdp)
-    harness._instance.cache_clear()
     rows = run_experiment(small_config(sweep={"S": (3, 4), "A": (2,), "H": (2,),
                                               "eps": (0.4, 0.3), "delta": (0.1,)}))
-    harness._instance.cache_clear()
     assert len(rows) == 8 and all(r.status == "completed" for r in rows)
+    assert made == [(3, 2, 2), (4, 2, 2)]
+
+    made.clear()  # a sweep this small runs in-process even with jobs=2
+    rows = run_experiment(small_config(sweep={"S": (3, 4), "A": (2,), "H": (2,),
+                                              "eps": (0.4, 0.3, 0.2), "delta": (0.1,)},
+                                       trials=2), jobs=2)
+    assert len(rows) == 12 and all(r.status == "completed" for r in rows)
     assert made == [(3, 2, 2), (4, 2, 2)]
 
 
@@ -187,7 +193,8 @@ def test_csv_round_trip_and_fit_from_file(tmp_path):
     assert abs(fit.slope - 0.5) <= 0.02
 
 
-def test_parallel_jobs_match_serial(tmp_path):
+def test_parallel_jobs_match_serial(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_POOL_MIN_ENTRIES", 0)  # force the pool on a tiny sweep
     config = small_config(
         sweep={"S": (3, 4), "A": (2,), "H": (3,), "eps": (0.4,), "delta": (0.1,)},
         trials=2,
@@ -201,6 +208,74 @@ def test_parallel_jobs_match_serial(tmp_path):
     )
     run_experiment(config2, jobs=2)
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "parallel.csv").read_bytes()
+
+
+@st.composite
+def sweep_grids(draw):
+    """Keyword arguments of a small sweep (vi, qvi3 or qvi5; 1-3 eps values,
+    1-2 trials; qvi5 also sweeps an infeasible eta) and the fixed instance it
+    runs on, or None to generate 1-3 sizes."""
+    algorithm = draw(st.sampled_from(["vi", "qvi3", "qvi5"]))
+    sweep = {"eps": draw(st.lists(st.sampled_from([0.4, 0.3, 0.2]), min_size=1, max_size=3,
+                                  unique=True)),
+             "eta": [0.05, 0.6] if algorithm == "qvi5" else [0.05]}
+    n_s, n_a, horizon = st.integers(2, 5), st.integers(1, 3), st.integers(1, 3)
+    fixed = None
+    if draw(st.booleans()):
+        fixed = random_mdp(draw(n_s), draw(n_a), draw(horizon), seed=draw(st.integers(0, 99)))
+    else:
+        sweep.update(S=draw(st.lists(n_s, min_size=1, max_size=3, unique=True)),
+                     A=[draw(n_a)], H=[draw(horizon)])
+    kwargs = dict(algorithm=algorithm, sweep=sweep, trials=draw(st.integers(1, 2)),
+                  master_seed=draw(st.integers(0, 99)),
+                  sparsity=draw(st.sampled_from([1.0, 0.5])))
+    return kwargs, fixed
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(grid=sweep_grids())
+def test_sweep_output_is_independent_of_the_schedule(tmp_path_factory, grid):
+    kwargs, fixed = grid
+    root = tmp_path_factory.mktemp("sweep")
+    if fixed is not None:
+        fixed.save(root / "fixed.json")
+        kwargs = dict(kwargs, mdp_path=str(root / "fixed.json"))
+    config = ExperimentConfig(**kwargs)
+    n_tasks = min(2, len(config.points())) if fixed else len(config.sweep["S"])
+    pools = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    outputs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        default = harness._POOL_MIN_ENTRIES
+        for name, jobs, threshold in [("serial", 1, default), ("in-process", 2, default),
+                                      ("pool", 2, 0)]:
+            mp.setattr(harness, "_POOL_MIN_ENTRIES", threshold)
+            (root / name).mkdir()
+            mp.chdir(root / name)  # the same relative out_path keeps the sidecars equal
+            rows = run_experiment(ExperimentConfig(out_path="out.csv", **kwargs), jobs=jobs)
+            outputs.append((Path("out.csv").read_bytes(),
+                            Path("out.csv.config.json").read_bytes()))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert len(rows) == len(config.points()) * config.trials
+    assert pools == ([2] if n_tasks >= 2 else [])
+    if config.algorithm == "qvi5":
+        assert any(r.status == "skipped" for r in rows)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_is_an_error_before_any_instance(monkeypatch, jobs):
+    def no_instance(*args, **kwargs):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(harness, "random_mdp", no_instance)
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        run_experiment(small_config(), jobs=jobs)
 
 
 def test_config_validation():
@@ -313,3 +388,12 @@ def test_cli_solve_reports_infeasible_params_as_an_error(tmp_path, capsys):
     assert code == 2
     assert err == "error: delta must be in (0, 1), got 1.5\n"
     assert not out_json.exists()
+
+
+def test_cli_sweep_reports_bad_jobs_as_an_error(tmp_path, capsys):
+    csv_path = tmp_path / "s.csv"
+    assert cli_main(["sweep", "--algo", "qvi3", "--S", "3", "--A", "2", "--H", "2",
+                     "--jobs", "0", "--out", str(csv_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: jobs must be >= 1, got 0\n"
+    assert captured.out == "" and not csv_path.exists()
