@@ -81,6 +81,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        print(f"error: jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
     config = ExperimentConfig(
         algorithm=args.algo,
         sweep={
@@ -96,11 +99,7 @@ def _cmd_sweep(args) -> int:
         out_path=args.out,
         qms_budget_mode=args.qms_budget,
     )
-    try:
-        rows = run_experiment(config, jobs=args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = run_experiment(config, jobs=args.jobs)
     completed = sum(1 for r in rows if r.status == "completed")
     print(f"wrote {len(rows)} rows ({completed} completed) to {args.out}")
     return 0

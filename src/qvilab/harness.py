@@ -169,12 +169,14 @@ def trial_seed(master_seed: int, point_index: int, trial: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-# A sweep whose solves read fewer transition entries (trials * H * S^2 * A over
-# its points) runs in-process.  On a 2-vCPU host a 2-worker pool cost ~11 ms to
-# start plus ~20 ms for the cold first tasks, qvi3 sweeps took 4-9 ns an entry, and a
-# 2-way split saves at most half: break-even near 2 * 30 ms / 6 ns = 1e7.  There
-# the pool lost at 2.6e6 (43 vs 20 ms), tied near 1e7, won at 3.2e7 (108 vs 155).
-_POOL_MIN_ENTRIES = 10_000_000
+# A sweep runs in-process below _POOL_MIN_SECONDS of estimated solves: the transition
+# entries they read (trials * H * S^2 * A over its points) times the algorithm's
+# in-process ns per entry, instance and exact baseline included, measured at 2e6-3e7
+# entries on a 2-vCPU host.  There a 2-worker pool cost ~30 ms to start and warm, a
+# 2-way split of unequal sizes saved well under half, and jobs=2 pools broke even
+# near 0.1 s: qvi3 near 1.5e7-2e7 entries, qvi4 near 3e6, qvi5 near 6e6.
+_NS_PER_ENTRY = {"vi": 5, "qvi1": 5, "qvi2": 8, "qvi3": 6, "qvi4": 40, "qvi5": 20}
+_POOL_MIN_SECONDS = 0.12
 
 
 def _run_task(config: ExperimentConfig, task: list[tuple[int, dict]],
@@ -223,9 +225,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     One task per instance: the points of one (S, A, H) share one generated
     MDP, and a fixed ``mdp_path`` instance is dealt into ``min(jobs, points)``
     chunks.  With ``jobs > 1`` the tasks go to worker processes, unless there
-    are fewer than two or the sweep is too small to pay for a pool
-    (``_POOL_MIN_ENTRIES``).  Output is independent of the schedule because
-    every coordinate owns its own seed.
+    are fewer than two or the sweep's estimated solve time is too small to pay
+    for a pool (``_NS_PER_ENTRY``, ``_POOL_MIN_SECONDS``).  Output is
+    independent of the schedule because every coordinate owns its own seed.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -239,7 +241,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     entries = config.trials * sum(fixed_mdp.transitions.size if fixed_mdp else
                                   p["H"] * p["S"] ** 2 * p["A"] for _, p in points)
     workers = min(jobs, len(tasks))
-    if workers < 2 or entries < _POOL_MIN_ENTRIES:
+    if workers < 2 or entries * _NS_PER_ENTRY[config.algorithm] * 1e-9 < _POOL_MIN_SECONDS:
         rows = [row for task in tasks for row in _run_task(config, task, fixed_mdp)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

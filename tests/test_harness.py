@@ -194,7 +194,7 @@ def test_csv_round_trip_and_fit_from_file(tmp_path):
 
 
 def test_parallel_jobs_match_serial(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "_POOL_MIN_ENTRIES", 0)  # force the pool on a tiny sweep
+    monkeypatch.setattr(harness, "_POOL_MIN_SECONDS", 0)  # force the pool on a tiny sweep
     config = small_config(
         sweep={"S": (3, 4), "A": (2,), "H": (3,), "eps": (0.4,), "delta": (0.1,)},
         trials=2,
@@ -208,6 +208,27 @@ def test_parallel_jobs_match_serial(tmp_path, monkeypatch):
     )
     run_experiment(config2, jobs=2)
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "parallel.csv").read_bytes()
+
+
+def test_pool_threshold_weighs_each_algorithm(monkeypatch):
+    assert set(harness._NS_PER_ENTRY) == set(harness.ALGORITHMS)
+    pools = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    sweep = {"S": (3, 4), "A": (2,), "H": (2,), "eps": (0.4,), "delta": (0.1,)}
+    entries = 2 * (2 * 3**2 * 2 + 2 * 4**2 * 2)  # trials * sum of H * S^2 * A
+    # A threshold between the two estimates: qvi4's entries cost more than qvi3's.
+    threshold = entries * 1e-9 * (harness._NS_PER_ENTRY["qvi3"] + harness._NS_PER_ENTRY["qvi4"]) / 2
+    monkeypatch.setattr(harness, "_POOL_MIN_SECONDS", threshold)
+    for algorithm in ("qvi3", "qvi4"):
+        rows = run_experiment(small_config(algorithm=algorithm, sweep=sweep), jobs=2)
+        assert len(rows) == 4
+    assert pools == [2]  # only the qvi4 sweep went to the pool
 
 
 @st.composite
@@ -252,10 +273,10 @@ def test_sweep_output_is_independent_of_the_schedule(tmp_path_factory, grid):
     outputs = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "ProcessPoolExecutor", CountingPool)
-        default = harness._POOL_MIN_ENTRIES
+        default = harness._POOL_MIN_SECONDS
         for name, jobs, threshold in [("serial", 1, default), ("in-process", 2, default),
                                       ("pool", 2, 0)]:
-            mp.setattr(harness, "_POOL_MIN_ENTRIES", threshold)
+            mp.setattr(harness, "_POOL_MIN_SECONDS", threshold)
             (root / name).mkdir()
             mp.chdir(root / name)  # the same relative out_path keeps the sidecars equal
             rows = run_experiment(ExperimentConfig(out_path="out.csv", **kwargs), jobs=jobs)
@@ -397,3 +418,13 @@ def test_cli_sweep_reports_bad_jobs_as_an_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: jobs must be >= 1, got 0\n"
     assert captured.out == "" and not csv_path.exists()
+
+
+def test_cli_sweep_lets_internal_errors_raise(tmp_path, monkeypatch):
+    def broken_task(*args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(harness, "_run_task", broken_task)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli_main(["sweep", "--algo", "qvi3", "--S", "3", "--A", "2", "--H", "2",
+                  "--out", str(tmp_path / "s.csv")])
