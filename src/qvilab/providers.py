@@ -128,10 +128,12 @@ class StatevectorProvider(EmulatedProvider):
         """Statevector estimation of every row of ``probabilities`` in one call.
 
         One ``qmebo_exact`` call prepares the rows on their support and builds
-        their outcome laws together.  Draw protocol: each row draws its K
-        amplitude-estimation outcomes with one ``rng.choice(T, size=K, p=law)``,
-        row after row in C order, and nothing else is drawn (no failures are
-        injected), so a stack draws what its rows' one-row calls draw.
+        their outcome laws one at a time.  Draw protocol: row after row in C
+        order, each row draws K uniforms, ``rng.random(K)``, and inverts them
+        through its law's cdf into its K amplitude-estimation outcomes (what
+        ``rng.choice(T, size=K, p=law)`` draws); nothing else is drawn (no
+        failures are injected), so a stack draws what its rows' one-row calls
+        draw.
         """
         run = qmebo_exact(probabilities, values, eps, delta, self.fmt, self.rng,
                           kappa=self.config.powering_repeats, t_rule=self.t_rule)

@@ -17,7 +17,8 @@ Amplitude estimation comes in two modes:
 
 * ``subspace_exact`` reduces to the two-dimensional invariant subspace of the
   reflection product (eigenphases ±2θ with a = sin²θ) and samples the exact
-  phase-estimation outcome law in closed form.  Cheap, any size.
+  phase-estimation outcome law in closed form: one sine over the T outcomes
+  per row, mirrored for the -2θ half.  Cheap, any size.
 * ``full_register`` simulates the phase-estimation circuit on the full
   register (counting register of dimension T, reflections applied as linear
   maps).  Feasible only for small widths; used to cross-check the closed form.
@@ -341,45 +342,34 @@ class AEConfig:
             raise ValueError("mode must be 'subspace_exact' or 'full_register'")
 
 
-def _pe_kernel(f: float, t: int) -> np.ndarray:
-    """Exact t-point phase-estimation outcome law for eigenphase fraction f."""
-    y = np.arange(t)
-    delta = f - y / t
-    frac = delta - np.round(delta)
-    out = np.empty(t)
-    on_grid = np.abs(frac) < 1e-14
-    out[on_grid] = 1.0
-    safe = ~on_grid
-    out[safe] = (np.sin(np.pi * t * frac[safe]) ** 2) / (
-        (t * np.sin(np.pi * frac[safe])) ** 2
-    )
-    return out
-
-
 def ae_outcome_distribution(a: float, t: int) -> np.ndarray:
     """Outcome law of t-point amplitude estimation for true amplitude ``a``.
 
     The estimating measurement lives in the two-dimensional invariant
-    subspace of the reflection product, whose eigenphase fractions are
-    ±arcsin(sqrt(a))/pi, each carrying half the weight (degenerate at
-    a in {0, 1}).
+    subspace of the reflection product, whose eigenphase fractions ±omega,
+    omega = arcsin(sqrt(a))/pi, carry half the weight each.  Each half is the
+    Fejér kernel sin²(pi(t omega - y)) / (t sin(pi(omega - y/t)))², the -omega
+    one mirrored by y -> (t - y) mod t.  Off the grid y/t the numerator does
+    not depend on y, so the law is 1/sin²(pi(omega - y/t)) plus its mirror,
+    normalised; on it (a in {0, 1} among others), a point mass plus its mirror.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if not 0.0 <= a <= 1.0 + 1e-12:
         raise ValueError(f"amplitude must lie in [0, 1], got {a!r}")
-    a = min(a, 1.0)
-    if a == 0.0:
-        return _pe_kernel(0.0, t)
-    if a == 1.0:
-        return _pe_kernel(0.5, t)
-    omega = math.asin(math.sqrt(a)) / math.pi
-    dist = 0.5 * _pe_kernel(omega, t) + 0.5 * _pe_kernel(1.0 - omega, t)
-    return dist / dist.sum()
+    omega = math.asin(math.sqrt(min(a, 1.0))) / math.pi
+    k = round(t * omega)
+    if abs(omega - k / t) < 1e-14:
+        return np.bincount([k % t, -k % t], minlength=t) / 2.0
+    y = np.arange(t)
+    law = 1.0 / np.sin(np.pi * (omega - y / t)) ** 2
+    law += law[-y]
+    return law / law.sum()
 
 
-def estimate_from_outcome(y: int, t: int) -> float:
-    return math.sin(math.pi * y / t) ** 2
+def estimate_from_outcome(y, t):
+    """The amplitude sin²(pi y / t) read from outcome y of t points, elementwise on arrays."""
+    return (np.sin(np.pi * np.asarray(y) / t) ** 2)[()]
 
 
 def ae_error_bound(a: float, t: int) -> float:
@@ -445,12 +435,12 @@ def amplitude_estimation(
     return estimate_from_outcome(y, t)
 
 
-def powering_median(trials) -> float:
-    """Median of repeated estimates (lower median for even counts)."""
-    values = sorted(float(x) for x in trials)
-    if not values:
+def powering_median(trials):
+    """Median of repeated estimates along the last axis (lower median for even counts)."""
+    values = np.sort(np.asarray(trials, dtype=np.float64), axis=-1)
+    if values.shape[-1] == 0:
         raise ValueError("median of an empty sequence")
-    return values[(len(values) - 1) // 2]
+    return values[..., (values.shape[-1] - 1) // 2][()]
 
 
 def ae_repetitions(n: int, eps: float, rule: str = "quadratic") -> int:
@@ -520,10 +510,13 @@ def qmebo_exact(
     estimate is within eps of p.f up to the reported encoding offset.
 
     The rows are checked once and prepared together on their support (see
-    :func:`psi2_support`).  Then, row after row in C order, each row builds
-    its outcome law and draws its K outcomes with one ``rng.choice``, so a
-    stack draws what its rows' one-row calls draw and holds one law at a
-    time.  An explicit ``schedule`` overrides the derived (T, K, mode) triple.
+    :func:`psi2_support`).  Draw protocol: row after row in C order, each row
+    builds its outcome law and draws K uniforms, ``rng.random(K)``, inverted
+    through the law's cdf (cumsum over its last entry, ``searchsorted`` with
+    ``side="right"``), as ``rng.choice(T, size=K, p=law)`` would.  So a stack
+    draws what its rows' one-row calls draw and holds one law at a time (its
+    cdf is built in place); the stack's outcomes are then decoded in one call.
+    An explicit ``schedule`` overrides the derived (T, K, mode) triple.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
@@ -541,17 +534,20 @@ def qmebo_exact(
         t_row = np.array([t_of[e] for e in row_eps], dtype=np.int64)
         repeats = max(1, math.ceil(kappa * math.log(1.0 / delta)))
     # Each row's projection weight on the all-ancilla-zero subspace.
-    amplitude = np.array([np.sum(np.abs(good) ** 2) for good in support[:, :, 0, 0]])
-    true_mean = np.array([row @ values for row in rows])
-    trials = np.empty((len(rows), repeats))
+    amplitude = np.sum(support[:, :, 0, 0] ** 2, axis=-1)
+    true_mean = rows @ values
+    outcomes = np.empty((len(rows), repeats), dtype=np.int64)
     for i, t in enumerate(t_row.tolist()):
         if mode == "subspace_exact":
             law = ae_outcome_distribution(float(amplitude[i]), t)
         else:
             state = prepare_psi2(rows[i], values, fmt)
             law = ae_outcome_distribution_circuit(state, mean_projector(state), t)
-        trials[i] = [estimate_from_outcome(int(y), t) for y in rng.choice(t, size=repeats, p=law)]
-    estimate = n_full * np.array([powering_median(row) for row in trials])
+        cdf = np.cumsum(law, out=law)
+        cdf /= cdf[-1]
+        outcomes[i] = cdf.searchsorted(rng.random(repeats), side="right")
+    trials = estimate_from_outcome(outcomes, t_row[:, None])
+    estimate = n_full * powering_median(trials)
     if ledger is not None:
         charged = 2 * int(t_row.sum()) * repeats
         ledger.charge("dist_binary", charged)

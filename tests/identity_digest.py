@@ -7,7 +7,8 @@ and compares the output, which must be identical:
 
 Every ``ALGORITHMS`` entry runs under each noise mode, with failure injection
 off and on, on three seeded instances; ``qvi2`` also runs on the statevector
-provider.  Each run contributes V, the policy, Q, the ledger counts, the trace
+provider, at (3, 2, 2) with eps 1.0 and at the benchmark's dense (4, 3, 4) and
+(8, 2, 2) with eps 0.3.  Each run contributes V, the policy, Q, the ledger counts, the trace
 without its seconds and the provider's final random state.  The instance file
 format contributes, for a dense, a sparse, an S = 1 instance and one holding
 -0.0, the bytes ``save`` writes and the arrays ``load`` reads back.  The
@@ -48,6 +49,9 @@ from qvilab.emulation import NOISE_MODES  # noqa: E402
 
 SEEDS = (0, 1, 2)
 EPS, DELTA = 0.4, 0.1
+# statevector qvi2 runs: ((S, A, H), eps); the last two are the benchmark's shapes,
+# where T runs to about 2,100 reflections
+SV_RUNS = (((3, 2, 2), 1.0), ((4, 3, 4), 0.3), ((8, 2, 2), 0.3))
 
 
 def _outputs(result) -> list:
@@ -105,12 +109,14 @@ def runs():
                     result = solve(name, mdp, provider, QueryLedger(), eps=EPS, delta=DELTA,
                                    eta=eta)
                     yield name, f"{mode}/{'fail' if injection else 'nofail'}", result, provider
-    for injection in (False, True):
-        for seed in SEEDS:
-            config = SubroutineConfig(failure_injection=injection, rng_seed=seed)
-            provider = StatevectorProvider(config, fmt=FixedPointFormat(16, 12))
-            result = qvi2(random_mdp(3, 2, 2, seed=seed), 1.0, DELTA, provider, QueryLedger())
-            yield "qvi2_sv", "fail" if injection else "nofail", result, provider
+    for size, eps in SV_RUNS:
+        label = "" if size == (3, 2, 2) else "S{}A{}H{} eps {} ".format(*size, eps)
+        for injection in (False, True):
+            for seed in SEEDS:
+                config = SubroutineConfig(failure_injection=injection, rng_seed=seed)
+                provider = StatevectorProvider(config, fmt=FixedPointFormat(16, 12))
+                result = qvi2(random_mdp(*size, seed=seed), eps, DELTA, provider, QueryLedger())
+                yield "qvi2_sv", label + ("fail" if injection else "nofail"), result, provider
 
 
 def with_negative_zeros(mdp):

@@ -154,7 +154,6 @@ def test_criterion_3_sandwich_suites():
     report(3, f"sandwiches held in 300/300 runs (V for qvi2/qvi3, V+Q for qvi4) in {elapsed:.1f}s")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_criterion_4_statevector_mean_estimation():
     started = time.perf_counter()
     eps, delta = 0.05, 0.1
@@ -194,7 +193,6 @@ def test_criterion_4_statevector_mean_estimation():
     )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_criterion_5_mode_equivalence():
     started = time.perf_counter()
     fmt = FixedPointFormat(8, 6)

@@ -15,6 +15,7 @@ from qvilab import (
     FiniteHorizonMdp,
     InfeasibleParams,
     QueryLedger,
+    StatevectorProvider,
     SubroutineConfig,
     exact_value_iteration,
     policy_value,
@@ -390,28 +391,31 @@ def test_qvi4_rejects_eps_above_sqrt_h():
         qvi4(mdp, 2.1, 0.1, provider(0), QueryLedger())
 
 
-QVI4_CONTRACT = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+CONTRACT = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def qvi4_runs(draw, injection=(False,)):
-    """A qvi4 run under any noise mode on a generated instance (S, A or H may be 1,
-    rows may be point masses, rewards may be zero), with its instance and eps."""
+def solver_runs(draw, name, backend=EmulatedProvider, modes=NOISE_MODES, injection=(False,)):
+    """A run of algorithm ``name`` on a ``backend`` provider under one of ``modes``
+    on a generated instance (S, A or H may be 1, rows may be point masses,
+    rewards may be zero), with its instance, eps and ledger."""
     n_s, n_a, horizon = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     mdp = random_mdp(n_s, n_a, horizon, sparsity=draw(st.sampled_from([1.0, 0.5, 0.01])),
                      seed=draw(st.integers(0, 999)))
     if draw(st.booleans()):
         mdp = FiniteHorizonMdp(mdp.transitions, np.zeros_like(mdp.rewards))
     eps = draw(st.sampled_from([0.3, 0.6, 1.0]))
-    config = SubroutineConfig(noise_mode=draw(st.sampled_from(NOISE_MODES)),
+    config = SubroutineConfig(noise_mode=draw(st.sampled_from(modes)),
                               failure_injection=draw(st.sampled_from(injection)),
                               rng_seed=draw(st.integers(0, 999)))
+    eta = min(float(mdp.transitions[mdp.transitions > 0].min()), 0.49)
     ledger = QueryLedger()
-    return mdp, eps, qvi4(mdp, eps, 0.1, EmulatedProvider(config), ledger), ledger
+    result = solve(name, mdp, backend(config), ledger, eps=eps, delta=0.1, eta=eta)
+    return mdp, eps, result, ledger
 
 
-@QVI4_CONTRACT
-@given(run=qvi4_runs())
+@CONTRACT
+@given(run=solver_runs("qvi4"))
 def test_qvi4_values_and_q_are_sandwiched(run):
     mdp, eps, result, _ = run
     assert sandwich_holds(mdp, result, eps)
@@ -424,8 +428,8 @@ def test_qvi4_values_and_q_are_sandwiched(run):
     assert (q_pi <= q_star.qvalues + 1e-9).all()
 
 
-@QVI4_CONTRACT
-@given(run=qvi4_runs(injection=(False, True)))
+@CONTRACT
+@given(run=solver_runs("qvi4", injection=(False, True)))
 def test_qvi4_trace_queries_sum_to_the_ledger(run):
     mdp, _, result, ledger = run
     assert len(result.trace) == result.params["epochs"] * mdp.horizon
@@ -433,8 +437,8 @@ def test_qvi4_trace_queries_sum_to_the_ledger(run):
         assert sum(record.queries[name] for record in result.trace) == ledger.count(name)
 
 
-@QVI4_CONTRACT
-@given(run=qvi4_runs(injection=(False, True)))
+@CONTRACT
+@given(run=solver_runs("qvi4", injection=(False, True)))
 def test_qvi4_reference_values_grow_monotonically(run):
     mdp, _, result, _ = run
     # v[k + 1] holds epoch k's values; v[0] is the all-zero first reference.
@@ -525,7 +529,6 @@ def test_qvi5_beats_qvi2_ledger_on_wide_sparse_instance():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_qvi2_runs_on_statevector_provider():
     # same algorithm, tiny instance, exact-statevector mean estimation behind
     # the provider surface; estimates are genuinely sampled so the guarantee
@@ -614,6 +617,29 @@ def test_trace_has_one_record_per_step_summing_to_the_ledger(algo):
         np.testing.assert_array_equal(record.values, result.values.values[record.h])
     assert all(r.seconds >= 0.0 for r in result.trace)
     assert all(r.failed_estimates == r.failed_searches == 0 for r in result.trace)
+
+
+@pytest.mark.parametrize("algo", ["qvi2", "qvi3", "qvi5"])
+@pytest.mark.parametrize("mode", ["exact", "adversarial_low", "adversarial_high"])
+@CONTRACT
+@given(data=st.data())
+def test_values_are_sandwiched(algo, mode, data):
+    mdp, eps, result, _ = data.draw(solver_runs(algo, modes=(mode,)))
+    assert sandwich_holds(mdp, result, eps)
+
+
+@pytest.mark.parametrize("algo, backend", [(name, EmulatedProvider) for name in
+                                           ("qvi1", "qvi2", "qvi3", "qvi5")]
+                         + [("qvi2", StatevectorProvider)])
+@CONTRACT
+@given(data=st.data())
+def test_trace_queries_sum_to_the_ledger(algo, backend, data):
+    mdp, _, result, ledger = data.draw(solver_runs(algo, backend, injection=(False, True)))
+    assert [r.h for r in result.trace] == list(range(mdp.horizon))[::-1]
+    expected = ledger.as_dict()
+    if result.algorithm == "qvi5":
+        expected["oracle_conversion"] -= 1  # the one conversion, charged before any step
+    assert {name: sum(r.queries[name] for r in result.trace) for name in ORACLES} == expected
 
 
 @pytest.mark.parametrize("algo", TRACED)

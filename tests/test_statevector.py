@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -239,7 +239,6 @@ def test_psi2_support_is_the_full_registers_value_zero_block(query, fmt):
         assert not full[:, :, 1:, :].any()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_psi2_value_register_is_uncomputed():
     # all amplitude mass sits on the cleared value register
     st = prepare_psi2([0.3, 0.2, 0.5], [0.9, 0.1, 0.4], SMALL)
@@ -251,7 +250,6 @@ def test_psi2_value_register_is_uncomputed():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ae_exact_endpoints():
     rng = np.random.default_rng(0)
     st = prepare_psi2([1.0, 0.0], [0.0, 0.0], SMALL)  # amplitude 0
@@ -291,7 +289,51 @@ def test_ae_distribution_normalizes():
             assert ae_outcome_distribution(a, t).sum() == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def two_kernel_law(a, t):
+    """Reference outcome law: the normalised mean of the Fejér kernels at omega
+    and 1 - omega, each evaluated on its own, with 1.0 where a phase lies on the
+    grid (within 1e-14)."""
+    def kernel(f):
+        frac = f - np.arange(t) / t
+        frac -= np.round(frac)
+        out = np.ones(t)
+        off = np.abs(frac) >= 1e-14
+        out[off] = np.sin(np.pi * t * frac[off]) ** 2 / (t * np.sin(np.pi * frac[off])) ** 2
+        return out
+
+    a = min(a, 1.0)
+    if a == 0.0:
+        return kernel(0.0)
+    if a == 1.0:
+        return kernel(0.5)
+    omega = math.asin(math.sqrt(a)) / math.pi
+    dist = 0.5 * kernel(omega) + 0.5 * kernel(1.0 - omega)
+    return dist / dist.sum()
+
+
+@st.composite
+def amplitudes_on_and_off_the_grid(draw):
+    """(a, T): a is 0 or 1, a grid point sin²(pi k / T), within 1e-13 of one, or any."""
+    t = draw(st.integers(1, 4096))
+    grid = math.sin(math.pi * draw(st.integers(0, t)) / t) ** 2
+    a = draw(st.sampled_from([0.0, 1.0, grid])
+             | st.floats(-1e-13, 1e-13).map(lambda d: grid + d)
+             | st.floats(0.0, 1.0))
+    return min(max(a, 0.0), 1.0), t
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(point=amplitudes_on_and_off_the_grid())
+@example(point=(math.sin(math.pi / 8) ** 2, 8))
+def test_outcome_law_is_a_distribution_on_and_off_the_grid(point):
+    a, t = point
+    law = ae_outcome_distribution(a, t)
+    assert law.shape == (t,) and np.isfinite(law).all() and (law >= 0.0).all()
+    assert abs(law.sum() - 1.0) <= 1e-12
+    assert np.abs(law - two_kernel_law(a, t)).max() <= 1e-12
+    np.testing.assert_array_equal(law, law[-np.arange(t)])  # the two phases' mirror symmetry
+
+
 def test_mode_equivalence_small():
     rng = np.random.default_rng(3)
     fmt = FixedPointFormat(6, 5)
@@ -314,7 +356,6 @@ def test_full_register_cap():
         ae_outcome_distribution_circuit(st, mean_projector(st), 64)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_amplitude_estimation_samples_full_register_mode():
     fmt = FixedPointFormat(5, 4)
     st = prepare_psi2([0.3, 0.7], [0.2, 0.9], fmt)
@@ -335,6 +376,21 @@ def test_powering_median_examples():
     assert powering_median([0.1, 0.2, 0.8, 0.9]) == 0.2  # lower median
     with pytest.raises(ValueError):
         powering_median([])
+
+
+def test_decoding_and_median_work_along_the_last_axis():
+    rng = np.random.default_rng(5)
+    t = np.array([[7], [64], [2114]])
+    y = rng.integers(0, 7, size=(3, 5))
+    trials = estimate_from_outcome(y, t)
+    decoded = [[math.sin(math.pi * int(v) / int(n)) ** 2 for v in row]
+               for row, n in zip(y, t[:, 0])]
+    np.testing.assert_allclose(trials, decoded, rtol=0, atol=4 * np.finfo(np.float64).eps)
+    assert powering_median(trials).tolist() == [sorted(row)[2] for row in trials.tolist()]
+    even = trials[:, :4]
+    assert powering_median(even).tolist() == [sorted(row)[1] for row in even.tolist()]
+    with pytest.raises(ValueError):
+        powering_median(np.empty((3, 0)))
 
 
 def test_powering_boosts_two_thirds_estimator():
