@@ -33,7 +33,6 @@ from .instances import (
 )
 from .ledger import ORACLES, QueryLedger
 from .mdp import (
-    DiscreteDistribution,
     FiniteHorizonMdp,
     MdpValidationError,
     OptimalityReport,
@@ -63,7 +62,6 @@ from .qvi import (
     vi,
 )
 from .statevector import (
-    AEConfig,
     BinaryOracleSpec,
     FixedPointFormat,
     PureState,
@@ -72,7 +70,6 @@ from .statevector import (
     ae_outcome_distribution,
     ae_outcome_distribution_circuit,
     ae_repetitions,
-    amplitude_estimation,
     build_up_hat,
     estimate_from_outcome,
     mean_projector,

@@ -53,6 +53,11 @@ def _add_run_flags(parser):
 
 
 def _cmd_solve(args) -> int:
+    for name in ("eps", "delta", "eta"):
+        if len(getattr(args, name)) > 1:
+            print(f"error: solve takes one --{name} value, got {getattr(args, name)}",
+                  file=sys.stderr)
+            return 2
     mdp = FiniteHorizonMdp.load(args.mdp)
     ledger = QueryLedger()
     provider = EmulatedProvider(
@@ -84,21 +89,25 @@ def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         print(f"error: jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
-    config = ExperimentConfig(
-        algorithm=args.algo,
-        sweep={
-            "S": args.S, "A": args.A, "H": args.H,
-            "eps": args.eps, "delta": args.delta, "eta": args.eta,
-        },
-        trials=args.trials,
-        master_seed=_seed(args),
-        noise_mode=_NOISE_CHOICES[args.noise],
-        failure_injection=args.inject_failures,
-        sparsity=args.sparsity,
-        mdp_path=args.mdp,
-        out_path=args.out,
-        qms_budget_mode=args.qms_budget,
-    )
+    try:
+        config = ExperimentConfig(
+            algorithm=args.algo,
+            sweep={
+                "S": args.S, "A": args.A, "H": args.H,
+                "eps": args.eps, "delta": args.delta, "eta": args.eta,
+            },
+            trials=args.trials,
+            master_seed=_seed(args),
+            noise_mode=_NOISE_CHOICES[args.noise],
+            failure_injection=args.inject_failures,
+            sparsity=args.sparsity,
+            mdp_path=args.mdp,
+            out_path=args.out,
+            qms_budget_mode=args.qms_budget,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = run_experiment(config, jobs=args.jobs)
     completed = sum(1 for r in rows if r.status == "completed")
     print(f"wrote {len(rows)} rows ({completed} completed) to {args.out}")

@@ -51,6 +51,9 @@ from .mdp import STOCHASTICITY_TOL
 
 NOISE_MODES = ("exact", "uniform_interval", "adversarial_low", "adversarial_high")
 
+# A binary-oracle mean estimation charges its count to both of these.
+BINARY_ORACLES = ("dist_binary", "func_binary")
+
 
 class ContractViolation(ValueError):
     """A caller violated an emulated subroutine's precondition."""
@@ -313,7 +316,6 @@ def qme1_emulated(
     config: SubroutineConfig,
     rng: np.random.Generator,
     ledger: Optional[QueryLedger] = None,
-    oracle: str = "quantum_generative",
 ) -> NoisyEstimate:
     """Range-bounded mean estimation: values in [0, u], error at most eps."""
     p, f = _stack(*mean_query)
@@ -324,7 +326,7 @@ def qme1_emulated(
         )
     eps = _rows(eps, p.shape[:-1])
     charged = _batch_count(lambda e: qme1_query_count(u, e, delta, config), eps, p.shape[:-1])
-    return _estimate(p, f, charged, eps, delta, config, rng, ledger, (oracle,))
+    return _estimate(p, f, charged, eps, delta, config, rng, ledger, ("quantum_generative",))
 
 
 def qme2_emulated(
@@ -335,7 +337,6 @@ def qme2_emulated(
     config: SubroutineConfig,
     rng: np.random.Generator,
     ledger: Optional[QueryLedger] = None,
-    oracle: str = "quantum_generative",
 ) -> NoisyEstimate:
     """Variance-bounded mean estimation: Var(f) <= sigma_bound^2, error <= eps.
 
@@ -365,7 +366,7 @@ def qme2_emulated(
     charged = _batch_count(
         lambda ratio: qme2_query_count(ratio, 1.0, delta, config), sigma_bound / eps, shape
     )
-    return _estimate(p, f, charged, eps, delta, config, rng, ledger, (oracle,))
+    return _estimate(p, f, charged, eps, delta, config, rng, ledger, ("quantum_generative",))
 
 
 def check_binary_query(p, f) -> tuple[np.ndarray, np.ndarray]:
@@ -397,7 +398,6 @@ def qmebo_emulated(
     config: SubroutineConfig,
     rng: np.random.Generator,
     ledger: Optional[QueryLedger] = None,
-    oracles: tuple[str, str] = ("dist_binary", "func_binary"),
 ) -> NoisyEstimate:
     """Mean estimation from two binary oracles; f in [0, 1]^N, error <= eps.
 
@@ -409,7 +409,7 @@ def qmebo_emulated(
     charged = _batch_count(
         lambda e: qmebo_query_count(values.size, e, delta, config), eps, probs.shape[:-1]
     )
-    return _estimate(probs, values, charged, eps, delta, config, rng, ledger, oracles)
+    return _estimate(probs, values, charged, eps, delta, config, rng, ledger, BINARY_ORACLES)
 
 
 def btp_cost(eps: float, eta: float, ledger: Optional[QueryLedger] = None) -> int:

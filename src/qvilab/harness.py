@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
@@ -56,10 +57,10 @@ _CSV_COLUMNS = (
 class ExperimentConfig:
     """One sweep: algorithm, axes, trials, and subroutine settings.
 
-    ``mdp_path`` pins a fixed instance (the S/A/H axes must then be left at
-    their single default values); otherwise instances are generated per
-    (S, A, H) from the master seed, so points differing only in accuracy axes
-    share the same MDP.
+    ``mdp_path`` pins a fixed instance (the S/A/H axes must then hold one
+    value each, which the instance's sizes replace); otherwise instances are
+    generated per (S, A, H) from the master seed, so points differing only in
+    accuracy axes share the same MDP.  The size axes take integers >= 1.
     """
 
     algorithm: str
@@ -82,11 +83,21 @@ class ExperimentConfig:
             raise ValueError(f"noise_mode must be one of {NOISE_MODES}")
         if self.qms_budget_mode not in QMS_BUDGET_MODES:
             raise ValueError(f"qms_budget_mode must be one of {QMS_BUDGET_MODES}")
+        if not 0.0 < self.sparsity <= 1.0:
+            raise ValueError(f"sparsity must lie in (0, 1], got {self.sparsity!r}")
+        if not isinstance(self.master_seed, numbers.Integral) or self.master_seed < 0:
+            raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
         axes = {}
         for name in SWEEP_AXES:
             values = tuple(self.sweep.get(name, _AXIS_DEFAULTS[name]))
             if len(values) == 0:
                 raise ValueError(f"sweep axis {name!r} must be nonempty")
+            if name in ("S", "A", "H"):
+                if not all(isinstance(v, numbers.Integral) and v >= 1 for v in values):
+                    raise ValueError(f"sweep axis {name!r} takes integers >= 1, got {values!r}")
+                if self.mdp_path and len(values) > 1:
+                    raise ValueError(f"sweep axis {name!r} takes one value with a fixed "
+                                     f"mdp_path, got {values!r}")
             axes[name] = values
         object.__setattr__(self, "sweep", axes)
 

@@ -151,7 +151,6 @@ class HorizonReductionSpec:
     base_rewards: np.ndarray  # (S~, A)
     gamma: float
     eps: float
-    log_base: float = math.e  # only the inequality direction depends on it
 
     def __post_init__(self):
         p = np.asarray(self.base_transitions, dtype=np.float64)
@@ -164,14 +163,12 @@ class HorizonReductionSpec:
             raise ValueError("gamma must lie in [0, 1)")
         if not 0.0 < self.eps < 0.5:
             raise ValueError("eps must lie in (0, 1/2)")
-        if self.log_base <= 1.0:
-            raise ValueError("log base must exceed 1")
         object.__setattr__(self, "base_transitions", p)
         object.__setattr__(self, "base_rewards", r)
 
     @property
     def horizon(self) -> int:
-        length = 2.0 / (1.0 - self.gamma) * math.log(2.0 / self.eps, self.log_base)
+        length = 2.0 / (1.0 - self.gamma) * math.log(2.0 / self.eps)
         return max(1, math.ceil(length))
 
     @property

@@ -1,12 +1,9 @@
 """Query accounting: every oracle invocation a run would make is counted here.
 
 The ledger is the emulation's stand-in for query/sample complexity.  Counters
-only increase; each algorithm owns one ledger per run, and concurrent runs
-merge their ledgers by summation afterwards.
+only increase; each algorithm owns one ledger per run.
 """
 from __future__ import annotations
-
-import json
 
 # Canonical counter names, one per oracle kind the algorithms may touch:
 #   classical_mdp        - classical table lookups (r, P entries)
@@ -30,8 +27,7 @@ ORACLES = (
 class QueryLedger:
     """Per-run oracle counters.
 
-    Not thread-safe by design: each concurrent run must own its ledger and
-    fan results back in through :meth:`merge`.
+    Not thread-safe by design: each concurrent run must own its ledger.
     """
 
     __slots__ = ("counts",)
@@ -54,16 +50,8 @@ class QueryLedger:
     def count(self, oracle: str) -> int:
         return self.counts[oracle]
 
-    def merge(self, other: "QueryLedger") -> "QueryLedger":
-        for name, value in other.counts.items():
-            self.counts[name] += value
-        return self
-
     def as_dict(self) -> dict:
         return dict(self.counts)
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         nonzero = {k: v for k, v in self.counts.items() if v}

@@ -122,10 +122,6 @@ class FiniteHorizonMdp:
     def horizon(self) -> int:
         return self.transitions.shape[0]
 
-    def row(self, h: int, s: int, a: int) -> np.ndarray:
-        """Conditional next-state distribution for (h, s, a)."""
-        return self.transitions[h, s, a]
-
     # -- JSON wire format: {"S","A","H","transitions","rewards"} ------------
 
     def to_json(self) -> dict:
@@ -365,34 +361,6 @@ class QTable:
             raise ValueError(f"Q values must lie in [0, H={horizon}]")
         arr.flags.writeable = False
         object.__setattr__(self, "qvalues", arr)
-
-
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """Probability vector over a finite set; entries sum to 1 within 1e-12."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.probabilities, dtype=np.float64).reshape(-1)
-        if arr.size == 0:
-            raise ValueError("distribution must have at least one outcome")
-        if arr.min() < -STOCHASTICITY_TOL or arr.max() > 1.0 + STOCHASTICITY_TOL:
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(arr.sum() - 1.0) > STOCHASTICITY_TOL:
-            raise ValueError(f"probabilities sum to {arr.sum()!r}, not 1")
-        arr.flags.writeable = False
-        object.__setattr__(self, "probabilities", arr)
-
-    def __len__(self) -> int:
-        return self.probabilities.size
-
-
-def as_probability_vector(p) -> np.ndarray:
-    """Coerce ``p`` (DiscreteDistribution or array-like) to a validated array."""
-    if isinstance(p, DiscreteDistribution):
-        return p.probabilities
-    return DiscreteDistribution(np.asarray(p)).probabilities
 
 
 # ---------------------------------------------------------------------------

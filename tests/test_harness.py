@@ -289,11 +289,12 @@ def test_sweep_output_is_independent_of_the_schedule(tmp_path_factory, grid):
         assert any(r.status == "skipped" for r in rows)
 
 
+def no_instance(*args, **kwargs):
+    raise AssertionError("an instance was built")
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_is_an_error_before_any_instance(monkeypatch, jobs):
-    def no_instance(*args, **kwargs):
-        raise AssertionError("an instance was built")
-
     monkeypatch.setattr(harness, "random_mdp", no_instance)
     with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
         run_experiment(small_config(), jobs=jobs)
@@ -312,6 +313,46 @@ def test_config_validation():
 def test_config_rejects_unknown_modes(field):
     with pytest.raises(ValueError, match=field):
         ExperimentConfig(algorithm="qvi3", **{field: "bogus"})
+
+
+BAD_SWEEPS = {
+    "size-zero": (dict(sweep={"S": (5, 0)}), "sweep axis 'S' takes integers >= 1"),
+    "fixed-mdp-two-sizes": (dict(sweep={"S": (5, 10)}, mdp_path="m.json"),
+                            "sweep axis 'S' takes one value with a fixed mdp_path"),
+    "fractional-size": (dict(sweep={"A": (2.5,)}), "sweep axis 'A' takes integers >= 1"),
+    "zero-sparsity": (dict(sparsity=0.0), "sparsity must lie in"),
+    "negative-seed": (dict(master_seed=-1), "master_seed must be an integer >= 0"),
+}
+
+
+@pytest.mark.parametrize("bad, reason", BAD_SWEEPS.values(), ids=BAD_SWEEPS.keys())
+def test_bad_sweep_config_is_an_error_before_any_instance(tmp_path, monkeypatch, bad, reason):
+    monkeypatch.chdir(tmp_path)
+    random_mdp(4, 3, 3, seed=0).save("m.json")
+    monkeypatch.setattr(harness, "random_mdp", no_instance)
+    with pytest.raises(ValueError, match=reason):
+        run_experiment(ExperimentConfig(algorithm="qvi3", out_path="s.csv", **bad))
+    assert not Path("s.csv").exists()
+
+
+BAD_SWEEP_FLAGS = {
+    "size-zero": (["--S", "5", "0"], "sweep axis 'S' takes integers >= 1, got (5, 0)"),
+    "fixed-mdp-two-sizes": (["--mdp", "m.json", "--S", "5", "10"],
+                            "sweep axis 'S' takes one value with a fixed mdp_path, got (5, 10)"),
+    "zero-sparsity": (["--sparsity", "0"], "sparsity must lie in (0, 1], got 0.0"),
+    "negative-seed": (["--seed", "-1"], "master_seed must be an integer >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("flags, reason", BAD_SWEEP_FLAGS.values(), ids=BAD_SWEEP_FLAGS.keys())
+def test_cli_sweep_reports_bad_config_as_an_error(tmp_path, monkeypatch, capsys, flags, reason):
+    monkeypatch.chdir(tmp_path)
+    random_mdp(4, 3, 3, seed=0).save("m.json")
+    monkeypatch.setattr(harness, "random_mdp", no_instance)
+    assert cli_main(["sweep", "--algo", "qvi3", *flags, "--out", "s.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {reason}\n"
+    assert captured.out == "" and not Path("s.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +450,18 @@ def test_cli_solve_reports_infeasible_params_as_an_error(tmp_path, capsys):
     assert code == 2
     assert err == "error: delta must be in (0, 1), got 1.5\n"
     assert not out_json.exists()
+
+
+def test_cli_solve_rejects_more_than_one_accuracy_value(tmp_path, capsys):
+    mdp_path = str(tmp_path / "m.json")
+    random_mdp(3, 2, 2, seed=0).save(mdp_path)
+    out_json = tmp_path / "r.json"
+    code = cli_main(["solve", "--mdp", mdp_path, "--algo", "qvi3", "--eps", "0.3", "0.2",
+                     "--delta", "0.1", "0.05", "--out", str(out_json)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: solve takes one --eps value, got [0.3, 0.2]\n"
+    assert captured.out == "" and not out_json.exists()
 
 
 def test_cli_sweep_reports_bad_jobs_as_an_error(tmp_path, capsys):

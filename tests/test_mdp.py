@@ -14,7 +14,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qvilab import (
-    DiscreteDistribution,
     FiniteHorizonMdp,
     MdpValidationError,
     Policy,
@@ -269,14 +268,6 @@ def test_public_constructor_copies_and_built_tables_are_read_only(tmp_path):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[(0,) * table.ndim] = 0.25
-
-
-def test_discrete_distribution_validates():
-    DiscreteDistribution([0.25, 0.75])
-    with pytest.raises(ValueError):
-        DiscreteDistribution([0.5, 0.6])
-    with pytest.raises(ValueError):
-        DiscreteDistribution([1.2, -0.2])
 
 
 def test_value_table_requires_zero_terminal_layer():

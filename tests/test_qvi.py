@@ -17,9 +17,11 @@ from qvilab import (
     QueryLedger,
     StatevectorProvider,
     SubroutineConfig,
+    ae_repetitions,
     exact_value_iteration,
     policy_value,
     qme1_query_count,
+    qme2_query_count,
     qmebo_query_count,
     qms_query_count,
     qvi1,
@@ -32,7 +34,7 @@ from qvilab import (
 )
 from qvilab.emulation import NOISE_MODES, btp_multiplier
 from qvilab.instances import HardInstanceSpec, hard_instance_optimal_start_values, make_hard_instance
-from qvilab.qvi import perturbed_transitions
+from qvilab.qvi import QMS_BUDGET_MODES, perturbed_transitions
 
 
 def provider(seed=0, **kwargs):
@@ -109,13 +111,65 @@ CONFIGS = {
 DRAW_CONFIGS = pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
 
 
+def replay_ledger(algo, n_s, n_a, horizon, config, *, eps, delta, eta, qms_budget_mode):
+    """The ledger of one feasible run of ``algo``, in closed form from the cost formulas.
+
+    ``qvi2_sv`` is qvi2 on a StatevectorProvider.  Every algorithm but ``vi``
+    and qvi4 makes S*H searches over A actions, each probe billed S table
+    queries (qvi1) or one estimator call (qvi2/3/5, times qvi5's conversion
+    multiplier); qvi4 bills its estimator calls: per epoch and (h, s, a), two
+    range-bounded variance terms, one variance-bounded reference term and one
+    correction.
+    """
+    counts = dict.fromkeys(ORACLES, 0)
+    searches = n_s * horizon
+    if algo == "vi":
+        return counts
+    if algo == "qvi1":
+        counts["quantum_mdp"] = searches * qms_query_count(n_a, delta / searches, config) * n_s
+        return counts
+    if algo == "qvi4":
+        c, b = 0.001, 1.0
+        epochs = math.ceil(math.log2(horizon / eps)) + 1
+        zeta = delta / (4 * epochs * searches * n_a)
+        reference = (qme1_query_count(horizon**2, b, zeta, config)
+                     + qme1_query_count(horizon, b / horizon, zeta, config)
+                     + qme2_query_count(1.0, c * eps / horizon**1.5, zeta, config))
+        eps_k = [horizon / 2.0**k for k in range(epochs)]
+        corrections = sum(qme1_query_count(2.0 * e, c * e / horizon, zeta, config) for e in eps_k)
+        counts["quantum_generative"] = searches * n_a * (epochs * reference + corrections)
+        return counts
+    zeta = delta / (4 * config.qms_constant * n_s * n_a**1.5 * horizon * math.log(1 / delta))
+    budget = delta if qms_budget_mode == "literal" else delta / searches
+    billed = searches * qms_query_count(n_a, budget, config)  # search probes
+    if algo == "qvi2":
+        per_call = qmebo_query_count(n_s, eps / (2 * horizon**2), zeta, config)
+        counts["quantum_mdp"] = counts["func_binary"] = billed * per_call
+    elif algo == "qvi2_sv":  # 2 T K reflections, T over the outcomes padded to 2^n
+        padded = 2 ** max(1, math.ceil(math.log2(n_s)))
+        repeats = max(1, math.ceil(config.powering_repeats * math.log(1 / zeta)))
+        per_call = 2 * ae_repetitions(padded, eps / (2 * horizon**2)) * repeats
+        counts["quantum_mdp"] = counts["func_binary"] = billed * per_call
+    elif algo == "qvi3":
+        counts["quantum_generative"] = billed * qme1_query_count(
+            horizon, eps / (2 * horizon), zeta, config)
+    elif algo == "qvi5":
+        multiplier = btp_multiplier(eps / (4 * n_s * horizon**2), eta)
+        counts["quantum_mdp"] = billed * multiplier * qme1_query_count(
+            horizon, eps / (4 * horizon), zeta, config)
+        counts["oracle_conversion"] = 1
+    else:
+        raise ValueError(f"no ledger replay for {algo!r}")
+    return counts
+
+
 @DRAW_CONFIGS
 def test_qvi1_accounting_replay(config):
     mdp = random_mdp(4, 5, 3, seed=2)
     ledger = QueryLedger()
     qvi1(mdp, 0.2, EmulatedProvider(config), ledger)
-    probes = qms_query_count(5, 0.2 / (4 * 3), config)
-    assert ledger.count("quantum_mdp") == 4 * 3 * probes * 4  # S*H searches, S per probe
+    assert ledger.as_dict() == replay_ledger("qvi1", 4, 5, 3, config, eps=0.3, delta=0.2,
+                                             eta=0.05, qms_budget_mode="per_state")
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +212,13 @@ def test_qvi2_adversarial_modes_keep_sandwich(mode):
 
 def test_qvi2_accounting_replay_and_budget_modes():
     mdp = random_mdp(4, 3, 3, seed=1)
-    delta = 0.1
-    zeta = delta / (4 * 1.0 * 4 * 3**1.5 * 3 * math.log(1 / delta))
     for config in CONFIGS.values():
-        per_call = qmebo_query_count(4, 0.3 / (2 * 3**2), zeta, config)
         totals = {}
-        for mode, budget in (("per_state", delta / 12), ("literal", delta)):
+        for mode in QMS_BUDGET_MODES:
             ledger = QueryLedger()
-            qvi2(mdp, 0.3, delta, EmulatedProvider(config), ledger, qms_budget_mode=mode)
-            probes = qms_query_count(3, budget, config)
-            assert ledger.count("quantum_mdp") == 4 * 3 * probes * per_call
-            assert ledger.count("func_binary") == ledger.count("quantum_mdp")
+            qvi2(mdp, 0.3, 0.1, EmulatedProvider(config), ledger, qms_budget_mode=mode)
+            assert ledger.as_dict() == replay_ledger("qvi2", 4, 3, 3, config, eps=0.3, delta=0.1,
+                                                     eta=0.05, qms_budget_mode=mode)
             totals[mode] = ledger.total
         assert totals["literal"] < totals["per_state"]
 
@@ -197,13 +247,10 @@ def test_qvi3_sandwich_on_seeded_suite():
 @DRAW_CONFIGS
 def test_qvi3_accounting_replay(config):
     mdp = random_mdp(4, 3, 3, seed=1)
-    delta = 0.1
     ledger = QueryLedger()
-    qvi3(mdp, 0.3, delta, EmulatedProvider(config), ledger)
-    zeta = delta / (4 * 4 * 3**1.5 * 3 * math.log(1 / delta))
-    per_call = qme1_query_count(3.0, 0.3 / (2 * 3), zeta, config)
-    probes = qms_query_count(3, delta / 12, config)
-    assert ledger.count("quantum_generative") == 4 * 3 * probes * per_call
+    qvi3(mdp, 0.3, 0.1, EmulatedProvider(config), ledger)
+    assert ledger.as_dict() == replay_ledger("qvi3", 4, 3, 3, config, eps=0.3, delta=0.1,
+                                             eta=0.05, qms_budget_mode="per_state")
 
 
 def test_qvi3_output_passes_eps_report():
@@ -365,24 +412,11 @@ def test_qvi4_offset_estimators_are_one_sided():
 
 @DRAW_CONFIGS
 def test_qvi4_accounting_replay(config):
-    # Ledger equals the closed-form accounting: per epoch and (s, a, h), two
-    # range-bounded estimates for the variance proxy, one variance-bounded
-    # estimate at a bound/error ratio that is constant, and one correction
-    # estimate whose range/error ratio is also constant across epochs.
-    from qvilab import qme2_query_count
-
     mdp = random_mdp(4, 3, 4, seed=3)
-    eps, delta = 0.4, 0.1
     ledger = QueryLedger()
-    qvi4(mdp, eps, delta, EmulatedProvider(config), ledger)
-    s, a, h = 4, 3, 4
-    epochs = math.ceil(math.log2(h / eps)) + 1
-    zeta = delta / (4 * epochs * h * s * a)
-    c, b = 0.001, 1.0
-    cost_y = qme1_query_count(h**2, b, zeta, config) + qme1_query_count(h, b / h, zeta, config)
-    cost_x = qme2_query_count(h**1.5 / (c * eps), 1.0, zeta, config)
-    cost_g = qme1_query_count(2.0, c / h, zeta, config)
-    assert ledger.count("quantum_generative") == epochs * h * s * a * (cost_y + cost_x + cost_g)
+    qvi4(mdp, 0.4, 0.1, EmulatedProvider(config), ledger)
+    assert ledger.as_dict() == replay_ledger("qvi4", 4, 3, 4, config, eps=0.4, delta=0.1,
+                                             eta=0.05, qms_budget_mode="per_state")
 
 
 def test_qvi4_rejects_eps_above_sqrt_h():
@@ -501,16 +535,12 @@ def test_perturbed_transitions_keep_support_when_the_shrink_fires():
 
 def test_qvi5_accounting_includes_conversion_multiplier():
     mdp = sparse_chain(5, 3, 3, seed=7)
-    delta, eps, eta = 0.1, 0.5, 0.3
-    zeta = delta / (4 * 5 * 3**1.5 * 3 * math.log(1 / delta))
     for config in CONFIGS.values():
         ledger = QueryLedger()
-        qvi5(mdp, eps, delta, eta, EmulatedProvider(config), ledger)
-        per_call = qme1_query_count(3.0, eps / (4 * 3), zeta, config)
-        multiplier = btp_multiplier(eps / (4 * 5 * 3**2), eta)
-        probes = qms_query_count(3, delta / 15, config)
-        assert ledger.count("quantum_mdp") == 5 * 3 * probes * per_call * multiplier
-        assert ledger.count("oracle_conversion") == 1
+        qvi5(mdp, 0.5, 0.1, 0.3, EmulatedProvider(config), ledger)
+        assert btp_multiplier(0.5 / (4 * 5 * 3**2), 0.3) > 1
+        assert ledger.as_dict() == replay_ledger("qvi5", 5, 3, 3, config, eps=0.5, delta=0.1,
+                                                 eta=0.3, qms_budget_mode="per_state")
 
 
 def test_qvi5_beats_qvi2_ledger_on_wide_sparse_instance():
@@ -640,6 +670,34 @@ def test_trace_queries_sum_to_the_ledger(algo, backend, data):
     if result.algorithm == "qvi5":
         expected["oracle_conversion"] -= 1  # the one conversion, charged before any step
     assert {name: sum(r.queries[name] for r in result.trace) for name in ORACLES} == expected
+
+
+REPLAYED = {name: EmulatedProvider for name in ALGORITHMS} | {"qvi2_sv": StatevectorProvider}
+
+
+@pytest.mark.parametrize("algo, backend", REPLAYED.items(), ids=REPLAYED.keys())
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_ledger_equals_its_closed_form_replay(algo, backend, data):
+    n_s, n_a, horizon = (data.draw(st.integers(1, top)) for top in (5, 4, 4))
+    mdp = random_mdp(n_s, n_a, horizon, sparsity=data.draw(st.sampled_from([1.0, 0.5])),
+                     seed=data.draw(st.integers(0, 999)))
+    eps, delta = data.draw(st.floats(0.1, 2.5)), data.draw(st.floats(0.001, 0.9))
+    eta = data.draw(st.sampled_from([min(float(mdp.transitions[mdp.transitions > 0].min()), 0.49),
+                                     0.6]))
+    config = SubroutineConfig(noise_mode=data.draw(st.sampled_from(NOISE_MODES)),
+                              failure_injection=data.draw(st.booleans()),
+                              rng_seed=data.draw(st.integers(0, 999)))
+    for mode in QMS_BUDGET_MODES:
+        ledger = QueryLedger()
+        try:
+            solve(algo.removesuffix("_sv"), mdp, backend(config), ledger, eps=eps, delta=delta,
+                  eta=eta, qms_budget_mode=mode)
+        except InfeasibleParams:
+            assert ledger.total == 0
+            continue
+        assert ledger.as_dict() == replay_ledger(algo, n_s, n_a, horizon, config, eps=eps,
+                                                 delta=delta, eta=eta, qms_budget_mode=mode)
 
 
 @pytest.mark.parametrize("algo", TRACED)

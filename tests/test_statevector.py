@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qvilab import (
-    AEConfig,
+    ORACLES,
     BinaryOracleSpec,
+    ContractViolation,
     FixedPointFormat,
     PureState,
     QueryLedger,
@@ -25,7 +26,6 @@ from qvilab import (
     ae_outcome_distribution,
     ae_outcome_distribution_circuit,
     ae_repetitions,
-    amplitude_estimation,
     build_up_hat,
     estimate_from_outcome,
     mean_projector,
@@ -33,6 +33,7 @@ from qvilab import (
     prepare_psi2,
     qmebo_exact,
 )
+from qvilab.emulation import BINARY_ORACLES
 from qvilab.statevector import psi2_support
 
 FMT = FixedPointFormat(16, 12)
@@ -75,23 +76,12 @@ def test_pure_state_validation_and_masks():
     amps[5] = 1.0  # index=1, flag=0, rot=1 under layout (2,1,1)
     st = PureState((("index", 2), ("rot", 1)), amps)
     assert st.total_width == 3
-    assert st.basis_index(index=2, rot=1) == 5
     mask = st.mask(index=2)
     assert st.probability(mask) == 1.0
     with pytest.raises(ValueError):
         st.mask(nonexistent=0)
     with pytest.raises(ValueError):
         PureState((("a", 1),), [0.5, 0.5])  # not normalized
-    dump = st.dump_amplitudes()
-    assert dump == {"10:1": [1.0, 0.0]}
-
-
-def test_pure_state_dump_width_guard():
-    amps = np.zeros(2**13)
-    amps[0] = 1.0
-    st = PureState((("wide", 13),), amps)
-    with pytest.raises(ValueError, match="12"):
-        st.dump_amplitudes()
 
 
 def test_binary_oracle_is_involution():
@@ -186,6 +176,12 @@ def test_up_hat_unitary_at_small_widths():
         np.testing.assert_allclose(u.T.conj() @ u, np.eye(u.shape[0]), atol=1e-10)
 
 
+@pytest.mark.parametrize("p", [[0.5, 0.6], [1.2, -0.2]], ids=["sum", "range"])
+def test_up_hat_rejects_rows_that_are_not_distributions(p):
+    with pytest.raises(ContractViolation, match="probabilities"):
+        build_up_hat(p, FMT)
+
+
 def test_up_hat_warns_on_coarse_format():
     with pytest.warns(RuntimeWarning, match="resolution"):
         build_up_hat([0.001, 0.999], FixedPointFormat(4, 3))
@@ -251,22 +247,16 @@ def test_psi2_value_register_is_uncomputed():
 
 
 def test_ae_exact_endpoints():
-    rng = np.random.default_rng(0)
     st = prepare_psi2([1.0, 0.0], [0.0, 0.0], SMALL)  # amplitude 0
-    mask = mean_projector(st)
-    assert all(amplitude_estimation(st, mask, t, rng) == 0.0 for t in (1, 5, 8))
+    a = st.probability(mean_projector(st))
+    for t in (1, 5, 8):  # every outcome the law can draw reads 0
+        dist = ae_outcome_distribution(a, t)
+        assert {estimate_from_outcome(y, t) for y in np.flatnonzero(dist > 0)} == {0.0}
     # amplitude 1: the estimator grid contains 1 exactly on even point counts
     for t in (2, 8, 16):
         dist = ae_outcome_distribution(1.0, t)
         ests = {estimate_from_outcome(y, t) for y in np.flatnonzero(dist > 1e-12)}
         assert ests == {1.0}
-
-
-def test_ae_config_validation():
-    with pytest.raises(ValueError):
-        AEConfig(grover_powers=0)
-    with pytest.raises(ValueError):
-        AEConfig(grover_powers=4, mode="other")
 
 
 def test_ae_quarter_amplitude_error_bound():
@@ -356,15 +346,6 @@ def test_full_register_cap():
         ae_outcome_distribution_circuit(st, mean_projector(st), 64)
 
 
-def test_amplitude_estimation_samples_full_register_mode():
-    fmt = FixedPointFormat(5, 4)
-    st = prepare_psi2([0.3, 0.7], [0.2, 0.9], fmt)
-    mask = mean_projector(st)
-    rng = np.random.default_rng(0)
-    est = amplitude_estimation(st, mask, 8, rng, mode="full_register")
-    assert 0.0 <= est <= 1.0
-
-
 # ---------------------------------------------------------------------------
 # powering and repetitions
 # ---------------------------------------------------------------------------
@@ -414,7 +395,6 @@ def test_ae_repetitions_quadratic_is_minimal():
             assert eps * t * t - pi2 * math.sqrt(n) * t - pi2 * n >= 0
             t -= 1
             assert eps * t * t - pi2 * math.sqrt(n) * t - pi2 * n < 0
-    assert ae_repetitions(4, 0.1, rule="simple") == math.ceil(2 / 0.1 + math.sqrt(4 / 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +404,17 @@ def test_ae_repetitions_quadratic_is_minimal():
 
 def test_qmebo_exact_point_mass_mostly_in_window():
     rng = np.random.default_rng(21)
-    ledger = QueryLedger()
     ok = 0
     runs = 200
     for _ in range(runs):
-        run = qmebo_exact([1.0, 0.0], [0.7, 0.2], 0.05, 0.1, FMT, rng, ledger=ledger)
+        run = qmebo_exact([1.0, 0.0], [0.7, 0.2], 0.05, 0.1, FMT, rng)
         ok += abs(run.estimate - 0.7) <= 0.05 + abs(run.encoding_offset)
     assert ok / runs >= 0.9  # guarantee is 1 - delta
-    assert ledger.count("dist_binary") == ledger.count("func_binary") > 0
+    ledger = QueryLedger()
+    StatevectorProvider(SubroutineConfig(rng_seed=21)).mean_binary(
+        [1.0, 0.0], [0.7, 0.2], 0.05, 0.1, ledger)
+    charged = 2 * run.grover_powers * run.repeats
+    assert ledger.count("dist_binary") == ledger.count("func_binary") == charged > 0
 
 
 def test_qmebo_exact_zero_function_is_exact():
@@ -441,21 +424,14 @@ def test_qmebo_exact_zero_function_is_exact():
 
 
 def test_qmebo_exact_charges_two_t_k():
-    rng = np.random.default_rng(2)
+    run = qmebo_exact([0.5, 0.5], [0.3, 0.6], 0.1, 0.2, FMT, np.random.default_rng(2))
     ledger = QueryLedger()
-    run = qmebo_exact([0.5, 0.5], [0.3, 0.6], 0.1, 0.2, FMT, rng, ledger=ledger)
+    StatevectorProvider(SubroutineConfig(rng_seed=2)).mean_binary(
+        [0.5, 0.5], [0.3, 0.6], 0.1, 0.2, ledger)
     assert ledger.count("dist_binary") == 2 * run.grover_powers * run.repeats
+    assert ledger.count("func_binary") == ledger.count("dist_binary")
     assert run.repeats == max(1, math.ceil(2.0 * math.log(1 / 0.2)))
     assert run.grover_powers == ae_repetitions(2, 0.1)
-
-
-def test_qmebo_exact_accepts_explicit_schedule():
-    rng = np.random.default_rng(4)
-    run = qmebo_exact(
-        [0.5, 0.5], [0.3, 0.6], 0.1, 0.2, FMT, rng,
-        schedule=AEConfig(grover_powers=32, powering_repeats=3),
-    )
-    assert run.grover_powers == 32 and run.repeats == 3 and len(run.trials) == 3
 
 
 @PROPERTY
@@ -469,13 +445,14 @@ def test_stacked_mean_binary_equals_one_row_calls(query, seed, data):
     ledger = QueryLedger()
     est = provider.mean_binary(p, f, eps, 0.1, ledger)
 
-    rng, reference = np.random.default_rng(seed), QueryLedger()
-    runs = [qmebo_exact(row, f, float(e), 0.1, FMT, rng, ledger=reference)
+    rng = np.random.default_rng(seed)
+    runs = [qmebo_exact(row, f, float(e), 0.1, FMT, rng)
             for row, e in zip(p.reshape(-1, f.size), np.broadcast_to(eps, shape).reshape(-1))]
     assert np.shape(est.value) == np.shape(est.true_mean) == shape
     assert np.reshape(est.value, -1).tolist() == [run.estimate for run in runs]
     assert np.reshape(est.true_mean, -1).tolist() == [run.true_mean for run in runs]
-    assert ledger.as_dict() == reference.as_dict()
+    charged = sum(2 * run.grover_powers * run.repeats for run in runs)
+    assert ledger.as_dict() == dict.fromkeys(ORACLES, 0) | dict.fromkeys(BINARY_ORACLES, charged)
     assert provider.rng.bit_generator.state == rng.bit_generator.state
 
 
