@@ -6,7 +6,8 @@ Subcommands:
   gen    - emit an instance in the standard MDP JSON format
   fit    - log-log scaling fit on a results CSV
 
-The environment variable QVI_SEED, when set, overrides --seed everywhere.
+The environment variable QVI_SEED, when set, overrides --seed everywhere.  A seed
+that is not an integer >= 0 is an error before any instance is loaded or built.
 """
 from __future__ import annotations
 
@@ -36,9 +37,9 @@ _NOISE_CHOICES = {
 }
 
 
-def _seed(args) -> int:
-    env = os.environ.get("QVI_SEED")
-    return int(env) if env else args.seed
+def _error(reason) -> int:
+    print(f"error: {reason}", file=sys.stderr)
+    return 2
 
 
 def _add_run_flags(parser):
@@ -55,24 +56,20 @@ def _add_run_flags(parser):
 def _cmd_solve(args) -> int:
     for name in ("eps", "delta", "eta"):
         if len(getattr(args, name)) > 1:
-            print(f"error: solve takes one --{name} value, got {getattr(args, name)}",
-                  file=sys.stderr)
-            return 2
+            return _error(f"solve takes one --{name} value, got {getattr(args, name)}")
+    try:
+        config = SubroutineConfig(noise_mode=_NOISE_CHOICES[args.noise],
+                                  failure_injection=args.inject_failures, rng_seed=args.seed)
+    except ValueError as exc:
+        return _error(exc)
     mdp = FiniteHorizonMdp.load(args.mdp)
     ledger = QueryLedger()
-    provider = EmulatedProvider(
-        SubroutineConfig(
-            noise_mode=_NOISE_CHOICES[args.noise],
-            failure_injection=args.inject_failures,
-            rng_seed=_seed(args),
-        )
-    )
+    provider = EmulatedProvider(config)
     try:
         result = solve(args.algo, mdp, provider, ledger, eps=args.eps[0], delta=args.delta[0],
                        eta=args.eta[0], qms_budget_mode=args.qms_budget)
     except InfeasibleParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     report = eps_optimality_report(
         mdp, result.policy, result.values, result.qvalues, eps=args.eps[0]
     )
@@ -87,8 +84,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.jobs < 1:
-        print(f"error: jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
+        return _error(f"jobs must be >= 1, got {args.jobs}")
     try:
         config = ExperimentConfig(
             algorithm=args.algo,
@@ -97,7 +93,7 @@ def _cmd_sweep(args) -> int:
                 "eps": args.eps, "delta": args.delta, "eta": args.eta,
             },
             trials=args.trials,
-            master_seed=_seed(args),
+            master_seed=args.seed,
             noise_mode=_NOISE_CHOICES[args.noise],
             failure_injection=args.inject_failures,
             sparsity=args.sparsity,
@@ -106,8 +102,7 @@ def _cmd_sweep(args) -> int:
             qms_budget_mode=args.qms_budget,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     rows = run_experiment(config, jobs=args.jobs)
     completed = sum(1 for r in rows if r.status == "completed")
     print(f"wrote {len(rows)} rows ({completed} completed) to {args.out}")
@@ -115,9 +110,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    seed = _seed(args)
+    if args.seed < 0:
+        return _error(f"seed must be an integer >= 0, got {args.seed}")
     if args.kind == "random":
-        mdp = random_mdp(args.S, args.A, args.H, sparsity=args.sparsity, seed=seed)
+        mdp = random_mdp(args.S, args.A, args.H, sparsity=args.sparsity, seed=args.seed)
     elif args.kind in ("m1", "m2"):
         spec = HardInstanceSpec(
             num_states=args.S,
@@ -127,7 +123,7 @@ def _cmd_gen(args) -> int:
             distinguished_state=args.sbar,
             distinguished_action=args.abar,
             target_state=args.target,
-            seed=seed,
+            seed=args.seed,
         )
         mdp = make_hard_instance(spec)
     else:  # horizon-reduction
@@ -151,8 +147,7 @@ def _cmd_fit(args) -> int:
     try:
         fit = fit_scaling(rows, args.axis, oracle=args.oracle)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     lo, hi = fit.ci95
     print(
         f"{args.axis} slope ({fit.oracle}): {fit.slope:.4f} "
@@ -210,6 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    env = os.environ.get("QVI_SEED")
+    if env and hasattr(args, "seed"):
+        if not env.strip().isdecimal():
+            return _error(f"QVI_SEED must be an integer >= 0, got {env!r}")
+        args.seed = int(env)
     return args.fn(args)
 
 

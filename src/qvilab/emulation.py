@@ -41,6 +41,7 @@ invocation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -97,10 +98,13 @@ class SubroutineConfig:
     def __post_init__(self):
         if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"noise_mode must be one of {NOISE_MODES}")
-        if self.qms_constant <= 0:
-            raise ValueError("qms_constant must be positive")
-        if self.powering_repeats < 1:
-            raise ValueError("powering_repeats must be >= 1")
+        if not 0 < self.qms_constant < math.inf:
+            raise ValueError(f"qms_constant must be positive and finite, got {self.qms_constant!r}")
+        if not 1 <= self.powering_repeats < math.inf:
+            raise ValueError(f"powering_repeats must be >= 1 and finite, got "
+                             f"{self.powering_repeats!r}")
+        if not isinstance(self.rng_seed, numbers.Integral) or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
 
 
 @dataclass(frozen=True)

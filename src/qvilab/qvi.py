@@ -306,6 +306,9 @@ def qvi3(
     )
 
 
+_BLOCK = 65536  # entries per block of perturbed_transitions: its scratch stays in cache
+
+
 def perturbed_transitions(
     mdp: FiniteHorizonMdp, bound: float, rng: np.random.Generator, scale: float = 1.0
 ) -> np.ndarray:
@@ -318,28 +321,46 @@ def perturbed_transitions(
     order, and recentres the shifts to sum to zero.  If an entry would then
     leave [0, 1], the row's shifts shrink by half the factor that would put
     its extreme entry on 0 or 1, so that entry stays strictly inside (0, 1).
+
+    The table is walked in blocks of whole rows, about ``_BLOCK`` entries each,
+    in two reused scratch buffers, each block written straight into the one
+    output table.  Consecutive draws equal one draw over the whole table, so
+    the result and the generator's state do not depend on the block size.
     """
     if scale == 0.0 or bound == 0.0:
         return np.array(mdp.transitions)
-    width = bound * scale
-    rows = mdp.transitions.reshape(-1, mdp.num_states)
-    support = rows > 0
-    size = support.sum(axis=1)
-    support[size < 2] = False
-    shift = np.zeros_like(rows)
-    # the values rng.uniform(-width / 2, width / 2) returns, drawn faster
-    shift[support] = rng.random(np.count_nonzero(support))
-    shift *= width
-    np.subtract(shift, width / 2.0, out=shift, where=support)
-    mean = shift.sum(axis=1) / np.maximum(size, 1)
-    np.subtract(shift, mean[:, None], out=shift, where=support)
-    out = rows + shift
-    leaves = np.unique(np.flatnonzero((out < 0.0) | (out > 1.0)) // mdp.num_states)
-    if leaves.size:
-        row, moving, on = rows[leaves], shift[leaves], support[leaves]
-        lo = np.where(on, row / np.maximum(-moving, 1e-300), np.inf).min(axis=1)
-        hi = np.where(on, (1.0 - row) / np.maximum(moving, 1e-300), np.inf).min(axis=1)
-        out[leaves] = row + moving * np.minimum(1.0, 0.5 * np.minimum(lo, hi))[:, None]
+    width, n_s = bound * scale, mdp.num_states
+    rows = mdp.transitions.reshape(-1, n_s)
+    out = np.empty_like(rows)
+    step = min(len(rows), max(1, _BLOCK // n_s))
+    shifts, supports = np.empty((step, n_s)), np.empty((step, n_s), dtype=bool)
+    for start in range(0, len(rows), step):
+        src, dest = rows[start:start + step], out[start:start + step]
+        shift, support = shifts[:len(src)], supports[:len(src)]
+        np.greater(src, 0.0, out=support)
+        # the values rng.uniform(-width / 2, width / 2) returns, drawn faster
+        if n_s > 1 and np.count_nonzero(support) == support.size:
+            rng.random(out=shift)
+            shift *= width
+            shift -= width / 2.0
+            shift -= (shift.sum(axis=1) / n_s)[:, None]
+        else:
+            size = np.count_nonzero(support, axis=1)
+            support[size < 2] = False
+            shift.fill(0.0)
+            # the output block holds the draws until np.add below overwrites it
+            shift[support] = rng.random(out=dest.reshape(-1)[:np.count_nonzero(support)])
+            shift *= width
+            np.subtract(shift, width / 2.0, out=shift, where=support)
+            mean = shift.sum(axis=1) / np.maximum(size, 1)
+            np.subtract(shift, mean[:, None], out=shift, where=support)
+        np.add(src, shift, out=dest)
+        if dest.min() < 0.0 or dest.max() > 1.0:
+            leaves = np.flatnonzero(((dest < 0.0) | (dest > 1.0)).any(axis=1))
+            row, moving, on = src[leaves], shift[leaves], support[leaves]
+            lo = np.where(on, row / np.maximum(-moving, 1e-300), np.inf).min(axis=1)
+            hi = np.where(on, (1.0 - row) / np.maximum(moving, 1e-300), np.inf).min(axis=1)
+            dest[leaves] = row + moving * np.minimum(1.0, 0.5 * np.minimum(lo, hi))[:, None]
     return out.reshape(mdp.transitions.shape)
 
 

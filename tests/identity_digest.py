@@ -16,7 +16,11 @@ script prints one SHA-256 per algorithm over its runs, one over the files and
 one over all of them.  Direct ``qmebo_exact`` calls (one row and stacks, one
 eps and one per row, N in {1, 2, 5, 9}, with point masses, f = 0 and f = 1)
 contribute their estimates, trials, ``grover_powers`` and final random state
-to one more SHA-256, printed on its own line.  It then prints one SHA-256 per
+to one more SHA-256, printed on its own line.  Direct ``perturbed_transitions``
+calls (dense and sparse tables, point-mass rows, an S = 1 table, bounds from
+1e-5 to ones where the shrink fires, a scaled call, and block sizes from one
+entry to the default) contribute their tables and the generator's next draw
+to another SHA-256; the next draws are printed on the line after it.  It then prints one SHA-256 per
 (algorithm, noise mode, injection) split, so a change that may alter only
 some draws can show which splits it left alone.  A split digest covers V, the policy, Q, the ledger
 counts, the final random state and, per trace record, its epoch, step and
@@ -32,6 +36,7 @@ import math
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -50,6 +55,7 @@ from qvilab import (  # noqa: E402
     random_mdp,
     solve,
 )
+import qvilab.qvi as qvi_module  # noqa: E402
 from qvilab.emulation import NOISE_MODES  # noqa: E402
 
 SEEDS = (0, 1, 2)
@@ -165,6 +171,38 @@ def qmebo_digest() -> str:
     return digest.hexdigest()
 
 
+def with_point_masses(mdp, every):
+    """``mdp`` with every ``every``-th transition row a point mass on the last state."""
+    t = mdp.transitions.copy()
+    t.reshape(-1, mdp.num_states)[::every] = np.eye(mdp.num_states)[-1]
+    return FiniteHorizonMdp(t, mdp.rewards)
+
+
+def perturb_digest() -> tuple[str, list[float]]:
+    """SHA-256 over direct ``perturbed_transitions`` calls, and each call's next draw."""
+    shrinking = FiniteHorizonMdp(np.tile([0.02, 0.98], (1, 2, 1, 1)), np.zeros((1, 2, 1)))
+    calls = [  # (mdp, bound, scale)
+        (random_mdp(40, 8, 12, seed=1), 1e-5, 1.0),
+        (random_mdp(40, 8, 12, sparsity=0.1, seed=2), 0.05, 1.0),
+        (random_mdp(100, 10, 10, sparsity=0.1, seed=3), 1e-3, 1.0),
+        (with_point_masses(random_mdp(12, 4, 4, sparsity=0.5, seed=4), 3), 1e-3, 1.0),
+        (with_point_masses(random_mdp(9, 3, 3, seed=5), 1), 0.2, 1.0),
+        (random_mdp(1, 3, 4, seed=6), 0.1, 1.0),
+        (shrinking, 0.125, 1.0),
+        (random_mdp(10, 4, 6, sparsity=0.5, seed=7), 0.5, 0.3),
+    ]
+    digest, draws = hashlib.sha256(), []
+    # block sizes in entries, the default first; a checkout without blocks ignores them
+    for block in (65536, 7, 1):
+        with mock.patch.object(qvi_module, "_BLOCK", block, create=True):
+            for i, (mdp, bound, scale) in enumerate(calls):
+                rng = np.random.default_rng(i)
+                digest.update(qvi_module.perturbed_transitions(mdp, bound, rng, scale).tobytes())
+                draws.append(rng.random())
+                digest.update(np.float64(draws[-1]).tobytes())
+    return digest.hexdigest(), draws
+
+
 def main() -> None:
     by_name, by_split = {}, {}
     total, count = hashlib.sha256(), 0
@@ -180,6 +218,9 @@ def main() -> None:
         print(f"{name:8} {h.hexdigest()}")
     print(f"{'all':8} {total.hexdigest()}  ({count} runs)")
     print(f"{'qmebo':8} {qmebo_digest()}")
+    perturb, draws = perturb_digest()
+    print(f"{'perturb':8} {perturb}")
+    print(f"{'draws':8} {' '.join(repr(x) for x in draws)}")
     for (name, split), h in by_split.items():
         print(f"{name:8} {split:28} {h.hexdigest()}")
 

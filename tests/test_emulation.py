@@ -269,6 +269,23 @@ def test_btp_rejects_non_finite_eps(eps):
     assert ledger.total == 0
 
 
+BAD_SUBROUTINE_FIELDS = {
+    "negative-seed": (dict(rng_seed=-1), "rng_seed must be an integer >= 0, got -1"),
+    "fractional-seed": (dict(rng_seed=1.5), "rng_seed must be an integer >= 0, got 1.5"),
+    "nan-qms-constant": (dict(qms_constant=math.nan), "qms_constant must be positive and finite"),
+    "inf-qms-constant": (dict(qms_constant=math.inf), "qms_constant must be positive and finite"),
+    "nan-repeats": (dict(powering_repeats=math.nan), "powering_repeats must be >= 1 and finite"),
+    "inf-repeats": (dict(powering_repeats=math.inf), "powering_repeats must be >= 1 and finite"),
+}
+
+
+@pytest.mark.parametrize("bad, reason", BAD_SUBROUTINE_FIELDS.values(),
+                         ids=BAD_SUBROUTINE_FIELDS.keys())
+def test_subroutine_config_rejects_bad_fields(bad, reason):
+    with pytest.raises(ValueError, match=reason):
+        SubroutineConfig(**bad)
+
+
 # ---------------------------------------------------------------------------
 # cross-cutting contracts
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from qvilab import (
     random_mdp,
     run_experiment,
 )
-from qvilab import harness
+from qvilab import cli, harness
 from qvilab.cli import main as cli_main
 from qvilab.harness import read_csv, trial_seed, write_csv
 
@@ -322,6 +322,7 @@ BAD_SWEEPS = {
     "fractional-size": (dict(sweep={"A": (2.5,)}), "sweep axis 'A' takes integers >= 1"),
     "zero-sparsity": (dict(sparsity=0.0), "sparsity must lie in"),
     "negative-seed": (dict(master_seed=-1), "master_seed must be an integer >= 0"),
+    "fractional-trials": (dict(trials=1.5), "trials must be an integer >= 1, got 1.5"),
 }
 
 
@@ -471,6 +472,36 @@ def test_cli_sweep_reports_bad_jobs_as_an_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: jobs must be >= 1, got 0\n"
     assert captured.out == "" and not csv_path.exists()
+
+
+BAD_SEEDS = {
+    "solve-negative-flag": (["solve", "--mdp", "m.json", "--algo", "qvi2", "--seed", "-1"],
+                            None, "rng_seed must be an integer >= 0, got -1"),
+    "gen-negative-flag": (["gen", "--seed", "-1", "--out", "g.json"],
+                          None, "seed must be an integer >= 0, got -1"),
+    **{f"{command}-env-{name}": (argv, env, f"QVI_SEED must be an integer >= 0, got {env!r}")
+       for command, argv in (
+           ("solve", ["solve", "--mdp", "m.json", "--algo", "qvi2"]),
+           ("sweep", ["sweep", "--algo", "qvi3", "--out", "s.csv"]),
+           ("gen", ["gen", "--out", "g.json"]))
+       for name, env in (("negative", "-1"), ("fractional", "1.5"), ("text", "seven"))},
+}
+
+
+@pytest.mark.parametrize("argv, env, reason", BAD_SEEDS.values(), ids=BAD_SEEDS.keys())
+def test_cli_reports_a_bad_seed_before_any_instance(tmp_path, monkeypatch, capsys, argv, env,
+                                                    reason):
+    monkeypatch.chdir(tmp_path)
+    random_mdp(3, 2, 2, seed=0).save("m.json")
+    if env is not None:
+        monkeypatch.setenv("QVI_SEED", env)
+    for module, name in ((cli, "random_mdp"), (cli, "make_hard_instance"), (harness, "random_mdp")):
+        monkeypatch.setattr(module, name, no_instance)
+    monkeypatch.setattr(FiniteHorizonMdp, "load", no_instance)
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {reason}\n"
+    assert captured.out == "" and not Path("s.csv").exists() and not Path("g.json").exists()
 
 
 def test_cli_sweep_lets_internal_errors_raise(tmp_path, monkeypatch):

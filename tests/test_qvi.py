@@ -1,10 +1,12 @@
 """The five planning algorithms: guarantees, accounting, determinism."""
 import functools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qvilab import (
@@ -34,6 +36,7 @@ from qvilab import (
 )
 from qvilab.emulation import NOISE_MODES, btp_multiplier
 from qvilab.instances import HardInstanceSpec, hard_instance_optimal_start_values, make_hard_instance
+import qvilab.qvi as qvi_module
 from qvilab.qvi import QMS_BUDGET_MODES, perturbed_transitions
 
 
@@ -531,6 +534,80 @@ def test_perturbed_transitions_keep_support_when_the_shrink_fires():
         assert ((0.0 < moved) & (moved < 1.0)).all()
         assert np.abs(moved - mdp.transitions).max() <= bound
         assert np.abs(moved.sum(axis=3) - 1.0).max() <= 1e-12
+
+
+def whole_table_perturbed_transitions(mdp, bound, rng, scale=1.0):
+    """The conversion in one pass over the whole table, the reference for the block walk."""
+    if scale == 0.0 or bound == 0.0:
+        return np.array(mdp.transitions)
+    width = bound * scale
+    rows = mdp.transitions.reshape(-1, mdp.num_states)
+    support = rows > 0
+    size = support.sum(axis=1)
+    support[size < 2] = False
+    shift = np.zeros_like(rows)
+    shift[support] = rng.random(np.count_nonzero(support))
+    shift *= width
+    np.subtract(shift, width / 2.0, out=shift, where=support)
+    mean = shift.sum(axis=1) / np.maximum(size, 1)
+    np.subtract(shift, mean[:, None], out=shift, where=support)
+    out = rows + shift
+    leaves = np.unique(np.flatnonzero((out < 0.0) | (out > 1.0)) // mdp.num_states)
+    if leaves.size:
+        row, moving, on = rows[leaves], shift[leaves], support[leaves]
+        lo = np.where(on, row / np.maximum(-moving, 1e-300), np.inf).min(axis=1)
+        hi = np.where(on, (1.0 - row) / np.maximum(moving, 1e-300), np.inf).min(axis=1)
+        out[leaves] = row + moving * np.minimum(1.0, 0.5 * np.minimum(lo, hi))[:, None]
+    return out.reshape(mdp.transitions.shape)
+
+
+@st.composite
+def perturbation_cases(draw):
+    """(mdp, bound, scale, block): a seeded table, dense or sparse, where every k-th row
+    may be a point mass, and a block size from one entry (every row wider than its
+    block) to more than the whole table."""
+    n_s, n_a, horizon = draw(st.integers(1, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    mdp = random_mdp(n_s, n_a, horizon, sparsity=draw(st.sampled_from([1.0, 0.5, 0.1])),
+                     seed=draw(st.integers(0, 99)))
+    t = np.array(mdp.transitions)
+    every = draw(st.sampled_from([0, 1, 2, 3]))
+    if every:
+        rows = t.reshape(-1, n_s)
+        rows[::every] = np.eye(n_s)[draw(st.integers(0, n_s - 1))]
+    bound = 10.0 ** draw(st.floats(-6.0, 0.0))  # from 1e-6 to bounds where the shrink fires
+    block = draw(st.sampled_from([1, 7, 64, t.size // 2 + 1, 2 * t.size]))
+    return FiniteHorizonMdp(t, mdp.rewards), bound, draw(st.sampled_from([1.0, 0.3])), block
+
+
+SHRINKING = FiniteHorizonMdp(np.tile([0.02, 0.98], (1, 2, 1, 1)), np.zeros((1, 2, 1)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=perturbation_cases())
+@example(case=(SHRINKING, 0.125, 1.0, qvi_module._BLOCK))
+@example(case=(random_mdp(40, 8, 12, seed=1), 1e-5, 1.0, qvi_module._BLOCK))
+@example(case=(random_mdp(40, 8, 12, sparsity=0.1, seed=2), 0.05, 1.0, qvi_module._BLOCK))
+def test_perturbed_transitions_equal_the_whole_table_pass(case):
+    mdp, bound, scale, block = case
+    rng, expected_rng = np.random.default_rng(5), np.random.default_rng(5)
+    expected = whole_table_perturbed_transitions(mdp, bound, expected_rng, scale)
+    with mock.patch.object(qvi_module, "_BLOCK", block):
+        moved = perturbed_transitions(mdp, bound, rng, scale)
+    assert moved.tobytes() == expected.tobytes()
+    assert rng.random() == expected_rng.random()
+
+
+@pytest.mark.parametrize("sparsity", [1.0, 0.1])
+def test_perturbed_transitions_hold_one_table_and_a_block_of_scratch(sparsity):
+    mdp = random_mdp(100, 10, 10, sparsity=sparsity, seed=0)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        moved = perturbed_transitions(mdp, 1e-5, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * moved.nbytes
 
 
 def test_qvi5_accounting_includes_conversion_multiplier():
