@@ -12,6 +12,7 @@ that is not an integer >= 0 is an error before any instance is loaded or built.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -25,7 +26,7 @@ from .instances import (
     random_mdp,
 )
 from .ledger import ORACLES, QueryLedger
-from .mdp import FiniteHorizonMdp, eps_optimality_report
+from .mdp import FiniteHorizonMdp, MdpValidationError, eps_optimality_report
 from .providers import EmulatedProvider
 from .qvi import ALGORITHMS, QMS_BUDGET_MODES, InfeasibleParams, solve
 
@@ -35,6 +36,10 @@ _NOISE_CHOICES = {
     "adv-low": "adversarial_low",
     "adv-high": "adversarial_high",
 }
+
+
+# What a missing, unreadable or malformed input or output file raises.
+_FILE_ERRORS = (OSError, json.JSONDecodeError, MdpValidationError)
 
 
 def _error(reason) -> int:
@@ -62,7 +67,10 @@ def _cmd_solve(args) -> int:
                                   failure_injection=args.inject_failures, rng_seed=args.seed)
     except ValueError as exc:
         return _error(exc)
-    mdp = FiniteHorizonMdp.load(args.mdp)
+    try:
+        mdp = FiniteHorizonMdp.load(args.mdp)
+    except _FILE_ERRORS as exc:
+        return _error(exc)
     ledger = QueryLedger()
     provider = EmulatedProvider(config)
     try:
@@ -74,7 +82,10 @@ def _cmd_solve(args) -> int:
         mdp, result.policy, result.values, result.qvalues, eps=args.eps[0]
     )
     if args.out:
-        result.save(args.out)
+        try:
+            result.save(args.out)
+        except OSError as exc:
+            return _error(exc)
     print(
         f"{args.algo}: value gap {report.value_gap:.6g}, policy gap "
         f"{report.policy_gap:.6g}, ledger total {ledger.total}"
@@ -103,18 +114,28 @@ def _cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         return _error(exc)
-    rows = run_experiment(config, jobs=args.jobs)
+    try:
+        rows = run_experiment(config, jobs=args.jobs)
+    except _FILE_ERRORS as exc:
+        return _error(exc)
     completed = sum(1 for r in rows if r.status == "completed")
     print(f"wrote {len(rows)} rows ({completed} completed) to {args.out}")
     return 0
 
 
-def _cmd_gen(args) -> int:
-    if args.seed < 0:
-        return _error(f"seed must be an integer >= 0, got {args.seed}")
+def _gen_builder(args):
+    """A call that builds ``gen``'s instance, once its sizes and inputs are checked.
+
+    A bad size or parameter raises ``ValueError``, and so does a malformed
+    ``--base`` file; a missing one raises ``OSError``.
+    """
     if args.kind == "random":
-        mdp = random_mdp(args.S, args.A, args.H, sparsity=args.sparsity, seed=args.seed)
-    elif args.kind in ("m1", "m2"):
+        if min(args.S, args.A, args.H) < 1:
+            raise ValueError(f"--S, --A and --H must be >= 1, got {args.S}, {args.A}, {args.H}")
+        if not 0.0 < args.sparsity <= 1.0:
+            raise ValueError(f"sparsity must lie in (0, 1], got {args.sparsity!r}")
+        return lambda: random_mdp(args.S, args.A, args.H, sparsity=args.sparsity, seed=args.seed)
+    if args.kind in ("m1", "m2"):
         spec = HardInstanceSpec(
             num_states=args.S,
             num_actions=args.A,
@@ -125,25 +146,40 @@ def _cmd_gen(args) -> int:
             target_state=args.target,
             seed=args.seed,
         )
-        mdp = make_hard_instance(spec)
-    else:  # horizon-reduction
-        if not args.base:
-            raise SystemExit("--base is required for kind=horizon-reduction")
-        base = FiniteHorizonMdp.load(args.base)
-        spec = HorizonReductionSpec(
-            base_transitions=base.transitions[0],
-            base_rewards=base.rewards[0],
-            gamma=args.gamma,
-            eps=args.eps,
-        )
-        mdp = make_horizon_reduction(spec)
-    mdp.save(args.out)
+        return lambda: make_hard_instance(spec)
+    if not args.base:
+        raise ValueError("--base is required for kind=horizon-reduction")
+    base = FiniteHorizonMdp.load(args.base)
+    spec = HorizonReductionSpec(
+        base_transitions=base.transitions[0],
+        base_rewards=base.rewards[0],
+        gamma=args.gamma,
+        eps=args.eps,
+    )
+    return lambda: make_horizon_reduction(spec)
+
+
+def _cmd_gen(args) -> int:
+    if args.seed < 0:
+        return _error(f"seed must be an integer >= 0, got {args.seed}")
+    try:
+        build = _gen_builder(args)
+    except (OSError, ValueError) as exc:
+        return _error(exc)
+    mdp = build()
+    try:
+        mdp.save(args.out)
+    except OSError as exc:
+        return _error(exc)
     print(f"wrote S={mdp.num_states} A={mdp.num_actions} H={mdp.horizon} to {args.out}")
     return 0
 
 
 def _cmd_fit(args) -> int:
-    rows = read_csv(args.results)
+    try:
+        rows = read_csv(args.results)
+    except OSError as exc:
+        return _error(exc)
     try:
         fit = fit_scaling(rows, args.axis, oracle=args.oracle)
     except ValueError as exc:

@@ -8,6 +8,8 @@ construction and can be shared freely across threads.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from json.decoder import WHITESPACE
 from typing import Optional
@@ -165,24 +167,35 @@ class FiniteHorizonMdp:
 
     @classmethod
     def load(cls, path) -> "FiniteHorizonMdp":
-        """Read an MDP file, one step ``h`` at a time.
+        """Read an MDP file in windows of text, each step ``h`` straight into one table.
 
-        Any JSON layout of the format is read (whitespace, key order, and a
-        repeated key's last value winning, as with ``json.load``).  Each item
-        of ``transitions`` and ``rewards`` is decoded and made a float64 array
-        before the next is read, so at most one step is alive as Python
-        floats; the file's text is dropped before the steps are stacked, once.
-        A malformed file raises a ``ValueError`` (a ``json.JSONDecodeError`` or
-        an :class:`MdpValidationError`).
+        The file is read ``_WINDOW`` characters at a time, after a first read
+        of ``_HEAD``.  When ``S``, ``A`` and ``H`` come before a table, as
+        :meth:`save` writes them, its (H, S, A, S) or (H, S, A) float64 table
+        is allocated once and each step is decoded into it: whole when twice
+        its text fits in a window (judged by the previous step, the first by
+        its share of the file), else one item ``[h, s]`` at a time, and so on
+        down.  Neither the file's text, a list of steps nor a stacked copy is
+        ever held.  Any other JSON layout of the format (whitespace, key
+        order, a repeated key's last value winning, as with ``json.load``,
+        tables before the sizes) loads the same tables, from steps collected
+        and stacked once.  A malformed file raises a ``ValueError``: a
+        ``json.JSONDecodeError``, placed by line and column in the file, for
+        text that is not JSON, else an :class:`MdpValidationError`, for
+        instance for an entry that is not a number or a step of another shape
+        than declared.
         """
         with open(path) as fh:
-            obj = _decode_object(fh.read())
+            obj = _Reader(fh, os.fstat(fh.fileno()).st_size).object()
         tables = []
         for key in ("transitions", "rewards"):
             if key not in obj:
                 raise MdpValidationError(f"MDP file has no {key!r}")
-            steps = obj.pop(key)
-            tables.append(np.stack(steps) if isinstance(steps, list) else _float_array(steps))
+            table = obj.pop(key)
+            if not isinstance(table, np.ndarray):
+                kind = type(table).__name__
+                raise MdpValidationError(f"{key} must be a list of steps, not {kind}")
+            tables.append(table)
         return cls._owning(*tables)._declared_as(obj)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -193,6 +206,8 @@ class FiniteHorizonMdp:
 
 
 _DECODER = json.JSONDecoder()
+_WINDOW = 1 << 18  # characters that FiniteHorizonMdp.load reads at a time
+_HEAD = 1 << 12  # characters of its first read: the sizes and the start of the first table
 
 
 def _write_steps(fh, table: np.ndarray) -> None:
@@ -232,64 +247,182 @@ def _write_steps(fh, table: np.ndarray) -> None:
     fh.write("]")
 
 
-def _skip(text: str, pos: int) -> int:
-    return WHITESPACE.match(text, pos).end()
+# Characters of JSON strings, true, false and null that no number has; np.array
+# refuses objects itself, but would take true as 1.0, null as NaN and "1" as 1.0.
+_NOT_NUMBER = ('"', "l", "u")
+# Characters a cut number can continue with.
+_NUMBER_TAIL = "0123456789.eE+-"
 
 
-def _delimiter(text: str, pos: int, close: str) -> tuple[int, bool]:
-    """Past the ``,`` or ``close`` that follows an item: (next position, closed?)."""
-    pos = _skip(text, pos)
-    char = text[pos:pos + 1]
-    if char not in (",", close):
-        raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
-    return _skip(text, pos + 1), char == close
+class _Reader:
+    """The JSON text of an open MDP file, read ``_WINDOW`` characters at a time.
 
+    ``buf[pos:]`` is the text read but not yet consumed, and ``start`` is the
+    file offset of ``buf[0]``; ``size`` is the file's size in bytes.  The
+    dropped text had ``lines`` newlines, the last one just before ``line_start``.
+    """
 
-def _opened(text: str, pos: int, close: str) -> tuple[int, bool]:
-    """Past the opening bracket at ``pos``: (first item's position, empty?)."""
-    pos = _skip(text, pos + 1)
-    empty = text.startswith(close, pos)
-    return _skip(text, pos + empty), empty
+    def __init__(self, fh, size: int):
+        self.fh, self.size = fh, size
+        # The first table is allocated before a whole window is read: a window
+        # read first can take part of the free heap block that the table would
+        # fit in, and the heap then grows by a table.
+        head = min(_HEAD, _WINDOW)
+        self.buf, self.pos, self.start = fh.read(head), 0, 0
+        self.eof = len(self.buf) < head
+        self.lines = self.line_start = 0
 
+    def _more(self) -> None:
+        """Drop the consumed text, then read up to a window or as much again as is held."""
+        rest = self.buf[self.pos:]
+        want = max(_WINDOW - len(rest), len(rest))
+        newline = self.buf.rfind("\n", 0, self.pos)
+        if newline >= 0:
+            self.lines += self.buf.count("\n", 0, newline + 1)
+            self.line_start = self.start + newline + 1
+        self.start += self.pos
+        self.buf = ""  # the old window is freed before the next is read
+        chunk = self.fh.read(want)
+        self.buf, self.pos, self.eof = rest + chunk, 0, len(chunk) < want
 
-def _float_array(value) -> np.ndarray:
-    try:
-        return np.array(value, dtype=np.float64)
-    except (TypeError, OverflowError) as err:
-        raise MdpValidationError(f"table entries must be numbers: {err}") from None
+    def peek(self) -> str:
+        """The next character that is not whitespace ('' at the end), with ``pos`` on it."""
+        while True:
+            self.pos = WHITESPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or self.eof:
+                return self.buf[self.pos:self.pos + 1]
+            self._more()
 
+    def error(self, msg: str, pos: int) -> json.JSONDecodeError:
+        """A ``JSONDecodeError`` at ``buf[pos]``, with its line, column and offset in the file."""
+        err = json.JSONDecodeError(msg, self.buf, pos)
+        newline = self.buf.rfind("\n", 0, pos)
+        err.lineno = self.lines + self.buf.count("\n", 0, pos) + 1
+        err.colno = pos - newline if newline >= 0 else self.start + pos - self.line_start + 1
+        err.pos = self.start + pos
+        err.args = (f"{msg}: line {err.lineno} column {err.colno} (char {err.pos})",)
+        return err
 
-def _decode_object(text: str) -> dict:
-    """The one JSON object of ``text``; a ``transitions`` or ``rewards`` list as float64 steps."""
-    pos = _skip(text, 0)
-    if not text.startswith("{", pos):
-        raise MdpValidationError("an MDP file holds one JSON object")
-    obj = {}
-    pos, closed = _opened(text, pos, "}")
-    while not closed:
-        if not text.startswith('"', pos):
-            raise json.JSONDecodeError(
-                "Expecting property name enclosed in double quotes", text, pos
-            )
-        key, pos = _DECODER.raw_decode(text, pos)
-        pos = _skip(text, pos)
-        if not text.startswith(":", pos):
-            raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
-        pos = _skip(text, pos + 1)
-        if key in ("transitions", "rewards") and text.startswith("[", pos):
-            steps = []
-            pos, done = _opened(text, pos, "]")
-            while not done:
-                step, pos = _DECODER.raw_decode(text, pos)
-                steps.append(_float_array(step))
-                pos, done = _delimiter(text, pos, "]")
-            obj[key] = steps
-        else:
-            obj[key], pos = _DECODER.raw_decode(text, pos)
-        pos, closed = _delimiter(text, pos, "}")
-    if pos != len(text):
-        raise json.JSONDecodeError("Extra data", text, pos)
-    return obj
+    def delimiter(self, close: str) -> bool:
+        """Past the ``,`` or ``close`` that follows an item: whether it was ``close``."""
+        char = self.peek()
+        if char not in (",", close):
+            raise self.error("Expecting ',' delimiter", self.pos)
+        self.pos += 1
+        return char == close
+
+    def value(self, hint: int = 0) -> tuple:
+        """(the JSON value at ``pos``, its offset in ``buf``), once ``hint`` characters are held.
+
+        A value that the window's end may have cut is decoded again after
+        the next read; a number is cut if a digit, sign, point or exponent
+        could follow it.
+        """
+        self.peek()
+        while len(self.buf) - self.pos < hint and not self.eof:
+            self._more()
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError as err:
+                if self.eof:
+                    raise self.error(err.msg, err.pos) from None
+            except RecursionError:
+                raise MdpValidationError("a value is nested too deeply to decode") from None
+            else:
+                if self.eof or self.buf[end:end + 1].strip(_NUMBER_TAIL):
+                    start, self.pos = self.pos, end
+                    return value, start
+            self._more()
+
+    def numbers(self, shape, hint: int = 0) -> np.ndarray:
+        """The value at ``pos`` as a float64 array of ``shape`` (of any shape if None)."""
+        value, start = self.value(hint)
+        if any(self.buf.find(char, start, self.pos) >= 0 for char in _NOT_NUMBER):
+            raise MdpValidationError("table entries must be numbers")
+        try:
+            array = np.array(value, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise MdpValidationError(f"table entries must be numbers in lists: {err}") from None
+        if shape is not None and array.shape != shape:
+            raise MdpValidationError(f"a table step has shape {array.shape}, not {shape}")
+        return array
+
+    def object(self) -> dict:
+        """The file's one JSON object; each table that is a list, a float64 array."""
+        if self.peek() != "{":
+            raise MdpValidationError("an MDP file holds one JSON object")
+        self.pos += 1
+        obj = {}
+        closed = self.peek() == "}"
+        self.pos += closed
+        while not closed:
+            if self.peek() != '"':
+                raise self.error("Expecting property name enclosed in double quotes", self.pos)
+            key, _ = self.value()
+            if self.peek() != ":":
+                raise self.error("Expecting ':' delimiter", self.pos)
+            self.pos += 1
+            if key in ("transitions", "rewards") and self.peek() == "[":
+                obj[key] = self.table(self._declared(obj, key))
+            else:
+                obj[key], _ = self.value()
+            closed = self.delimiter("}")
+        if self.peek():
+            raise self.error("Extra data", self.pos)
+        return obj
+
+    def _declared(self, obj: dict, key: str) -> Optional[tuple]:
+        """The shape of table ``key`` if ``obj`` already declares H, S and A, as integers >= 1
+        of a table that a file of this size can hold (two characters an entry); else None."""
+        sizes = (obj.get("H"), obj.get("S"), obj.get("A"))
+        if not all(type(n) is int and n >= 1 for n in sizes):
+            return None
+        shape = sizes + sizes[1:2] if key == "transitions" else sizes
+        return shape if 2 * math.prod(shape) <= self.size else None
+
+    def table(self, shape: Optional[tuple]) -> np.ndarray:
+        """The table list at ``pos`` as one float64 array.
+
+        With a declared ``shape``, the steps are written into one table of
+        that shape by :meth:`fill`, the first step's text guessed as its
+        share of the file's H·S·A·(S + 1) entries.  Without one, steps are
+        decoded whole and stacked once.
+        """
+        if shape is not None:
+            out = np.empty(shape)
+            self.fill(out, self.size * out[0].size // (math.prod(shape[:3]) * (shape[1] + 1)))
+            return out
+        self.pos += 1
+        steps, size = [], 0
+        done = self.peek() == "]"
+        self.pos += done
+        while not done:
+            begin = self.start + self.pos
+            steps.append(self.numbers(steps[0].shape if steps else None, 2 * size))
+            size = self.start + self.pos - begin
+            done = self.delimiter("]")
+        return np.stack(steps) if steps else np.empty(0)
+
+    def fill(self, out: np.ndarray, size: int) -> None:
+        """Decode the list at ``pos`` into ``out``, one item ``out[i]`` at a time.
+
+        An item is decoded whole when twice its text fits in a window, judged
+        by the previous item's text (``size`` for the first), else list item
+        by list item in the same way.
+        """
+        self.pos += 1
+        for i in range(len(out)):
+            if self.delimiter("]") if i else self.peek() == "]":
+                raise MdpValidationError(f"a table list of shape {out.shape} ends after {i} items")
+            item, begin = out[i, ...], self.start + self.pos
+            if not item.ndim or 2 * size <= _WINDOW or self.peek() != "[":
+                item[...] = self.numbers(item.shape, 2 * size)
+            else:
+                self.fill(item, size // len(item))
+            size = self.start + self.pos - begin
+        if not self.delimiter("]"):
+            raise MdpValidationError(f"a table list of shape {out.shape} has more items")
 
 
 @dataclass(frozen=True)

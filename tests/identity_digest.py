@@ -11,7 +11,8 @@ provider, at (3, 2, 2) with eps 1.0 and at the benchmark's dense (4, 3, 4) and
 (8, 2, 2) with eps 0.3.  Each run contributes V, the policy, Q, the ledger counts, the trace
 without its seconds and the provider's final random state.  The instance file
 format contributes, for a dense, a sparse, an S = 1 instance and one holding
--0.0, the bytes ``save`` writes and the arrays ``load`` reads back.  The
+-0.0, the bytes ``save`` writes and the arrays ``load`` reads back from them
+and from the instance's indent, compact and duplicated-key layouts.  The
 script prints one SHA-256 per algorithm over its runs, one over the files and
 one over all of them.  Direct ``qmebo_exact`` calls (one row and stacks, one
 eps and one per row, N in {1, 2, 5, 9}, with point masses, f = 0 and f = 1)
@@ -138,6 +139,15 @@ def with_negative_zeros(mdp):
     return FiniteHorizonMdp(t, r)
 
 
+# save's own text, then the indent, compact and duplicated layouts of test_mdp.REFORMATS
+LAYOUTS = (
+    None,
+    lambda obj: json.dumps(obj, indent=2),
+    lambda obj: json.dumps(obj, separators=(",", ":")),
+    lambda obj: '{"rewards": [[[0.5]]], "transitions": 3, "H": 9,' + json.dumps(obj)[1:],
+)
+
+
 def files():
     """("files", digest of the saved bytes and the loaded arrays) for a few instances."""
     instances = [random_mdp(12, 3, 4, seed=0), random_mdp(30, 4, 5, sparsity=0.1, seed=1),
@@ -147,8 +157,12 @@ def files():
         path = Path(tmp) / "mdp.json"
         for mdp in instances:
             mdp.save(path)
-            back = FiniteHorizonMdp.load(path)
-            parts = [path.read_bytes(), back.transitions.tobytes(), back.rewards.tobytes()]
+            parts = [path.read_bytes()]
+            for layout in LAYOUTS:
+                if layout is not None:
+                    path.write_text(layout(mdp.to_json()))
+                back = FiniteHorizonMdp.load(path)
+                parts += [back.transitions.tobytes(), back.rewards.tobytes()]
             yield "files", hashlib.sha256(b"\0".join(parts)).digest()
 
 

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -512,3 +513,47 @@ def test_cli_sweep_lets_internal_errors_raise(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="internal fault"):
         cli_main(["sweep", "--algo", "qvi3", "--S", "3", "--A", "2", "--H", "2",
                   "--out", str(tmp_path / "s.csv")])
+
+
+BAD_FILES = {
+    "solve-missing-mdp": (["solve", "--mdp", "missing.json", "--algo", "qvi3"],
+                          r"\[Errno 2\] No such file or directory: 'missing\.json'"),
+    "solve-malformed-mdp": (["solve", "--mdp", "bad.json", "--algo", "qvi3"],
+                            r"Expecting ',' delimiter"),
+    "solve-out-missing-directory": (["solve", "--mdp", "m.json", "--algo", "vi",
+                                     "--out", "missing/r.json"],
+                                    r"\[Errno 2\] No such file or directory: 'missing/r\.json'"),
+    "sweep-malformed-mdp": (["sweep", "--mdp", "bad.json", "--algo", "qvi3", "--out", "s.csv"],
+                            r"Expecting ',' delimiter"),
+    "gen-missing-base": (["gen", "--kind", "horizon-reduction", "--base", "missing.json",
+                          "--out", "g.json"],
+                         r"\[Errno 2\] No such file or directory: 'missing\.json'"),
+    "gen-zero-states": (["gen", "--S", "0", "--out", "g.json"],
+                        r"--S, --A and --H must be >= 1, got 0, 3, 4"),
+    "gen-zero-sparsity": (["gen", "--sparsity", "0", "--out", "g.json"],
+                          r"sparsity must lie in \(0, 1\], got 0\.0"),
+    "gen-m1-two-states": (["gen", "--kind", "m1", "--S", "2", "--out", "g.json"],
+                          r"num_states must be >= 4 and congruent to 1 mod 3"),
+    "gen-reduction-without-base": (["gen", "--kind", "horizon-reduction", "--out", "g.json"],
+                                   r"--base is required for kind=horizon-reduction"),
+    "gen-out-missing-directory": (["gen", "--out", "missing/g.json"],
+                                  r"\[Errno 2\] No such file or directory: 'missing/g\.json'"),
+    "fit-missing-results": (["fit", "--results", "missing.csv", "--axis", "S"],
+                            r"\[Errno 2\] No such file or directory: 'missing\.csv'"),
+}
+
+
+@pytest.mark.parametrize("argv, reason", BAD_FILES.values(), ids=BAD_FILES.keys())
+def test_cli_reports_file_and_size_errors_without_a_traceback(tmp_path, monkeypatch, capsys,
+                                                              argv, reason):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text(json.dumps(random_mdp(3, 2, 2, seed=0).to_json())[:-30])
+    random_mdp(3, 2, 2, seed=0).save("m.json")
+    if "missing/g.json" not in argv:  # every other case fails before an instance is built
+        for name in ("random_mdp", "make_hard_instance", "make_horizon_reduction"):
+            monkeypatch.setattr(cli, name, no_instance)
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.endswith("\n")
+    assert re.match(reason, captured.err[len("error: "):])
+    assert captured.out == "" and not Path("s.csv").exists() and not Path("g.json").exists()

@@ -6,11 +6,13 @@ summation, definitional variance enumeration) rather than by the code paths
 under test.
 """
 import json
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qvilab import (
@@ -29,6 +31,7 @@ from qvilab import (
     sigma_squared,
     total_variance_norm,
 )
+from qvilab import mdp as mdp_module
 from qvilab.instances import HardInstanceSpec, hard_instance_optimal_start_values, make_hard_instance
 
 
@@ -173,6 +176,7 @@ REFORMATS = {
     "duplicated": lambda obj: ('{"rewards": [[[0.5]]], "transitions": 3, "H": 9,'
                                + json.dumps(obj)[1:]),
     "whitespace": lambda obj: " \n\t" + json.dumps(obj).replace(", ", " ,\n ") + "\r\n",
+    "extra keys": lambda obj: json.dumps({"seed": 1234567, "scale": -1.25e-300, **obj}),
 }
 
 
@@ -201,12 +205,21 @@ MALFORMED = {
     "missing colon": lambda text: text.replace('"A":', '"A"'),
     "missing comma": lambda text: text.replace("]], [[", "]] [[", 1),
     "trailing comma": lambda text: text[:-1] + ", }",
+    "boolean entry": lambda text: re.sub(r'"rewards": \[\[\[[^,\]]+', '"rewards": [[[true', text),
+    "null entry": lambda text: re.sub(r'"rewards": \[\[\[[^,\]]+', '"rewards": [[[null', text),
+    # json's decoder raises RecursionError past the recursion limit
+    "deep nesting": lambda text: text.replace("{", '{"x": ' + "[" * 10**5 + "]" * 10**5 + ", ", 1),
+    # sizes whose table no file this short can hold, so none is allocated for them
+    "huge sizes": lambda text: text.replace('"S": ', '"S": 1000000', 1),
+    # step 0 of rewards gets a copy of its first row, so it has S + 1 rows
+    "steps of different shapes": lambda text: re.sub(r'"rewards": \[\[(\[[^\]]*\])',
+                                                     r'"rewards": [[\1, \1', text),
 }
 
 
 def assert_load_raises_value_error(path, text):
     path.write_text(text)
-    with pytest.raises(ValueError):  # a JSONDecodeError or an MdpValidationError
+    with pytest.raises((json.JSONDecodeError, MdpValidationError)):
         FiniteHorizonMdp.load(path)
 
 
@@ -228,19 +241,64 @@ def test_load_rejects_truncated_files_with_a_value_error(tmp_path_factory, mdp, 
     assert_load_raises_value_error(tmp_path_factory.mktemp("io") / "m.json", text[:cut])
 
 
+def load_outcome(path):
+    """The loaded tables' bytes, or the type of the error that loading raised and its position."""
+    try:
+        mdp = FiniteHorizonMdp.load(path)
+    except ValueError as err:
+        return type(err), getattr(err, "pos", None)
+    return mdp.transitions.tobytes(), mdp.rewards.tobytes()
+
+
+WINDOW_EDITS = {
+    **{f"layout {name}": layout for name, layout in REFORMATS.items()},
+    **{f"malformed {name}": (lambda obj, edit=edit: edit(json.dumps(obj)))
+       for name, edit in MALFORMED.items()},
+}
+
+
+@settings(FILE_FORMAT, max_examples=200)
+@given(mdp=instances(), edit=st.sampled_from(sorted(WINDOW_EDITS) + ["truncated"]),
+       window=st.integers(1, 8), cut=st.integers(0, 10**6))
+@example(mdp=random_mdp(3, 2, 2, seed=1), edit="layout extra keys", window=2, cut=0)
+def test_load_reads_the_same_across_window_edges(tmp_path_factory, mdp, edit, window, cut):
+    # Windows of a few characters cut every value, item and step somewhere;
+    # at 2 characters, one cuts "-1.25e-300" after "-1.".
+    text = json.dumps(mdp.to_json())
+    edited = text[:cut % len(text)] if edit == "truncated" else WINDOW_EDITS[edit](mdp.to_json())
+    path = tmp_path_factory.mktemp("io") / "m.json"
+    path.write_text(edited)
+    expected = load_outcome(path)
+    with mock.patch.object(mdp_module, "_WINDOW", window):
+        assert load_outcome(path) == expected
+    if edit.startswith("layout"):
+        with open(path) as fh:
+            reference = FiniteHorizonMdp.from_json(json.load(fh))
+        assert expected == (reference.transitions.tobytes(), reference.rewards.tobytes())
+    elif edited != text:
+        assert expected[0] in (json.JSONDecodeError, MdpValidationError)
+
+
 def test_file_io_memory_is_one_step_and_construction_copies_nothing(tmp_path):
-    # Save holds one step as text, load one step as Python floats plus the
-    # file's text, and neither random_mdp nor load copies its finished table.
+    # Save holds one step as text; load holds its one table, a window or two of
+    # text and one step or item as Python floats; neither random_mdp nor load
+    # copies its finished table.  The indent=2 file's text is more than twice
+    # its tables, and load holds less than that text.
     n_s, n_a, horizon = 100, 10, 20
     table_bytes = horizon * n_s * n_a * n_s * 8
-    path = tmp_path / "io.json"
+    path, indented = tmp_path / "io.json", tmp_path / "indented.json"
+    small = random_mdp(64, 5, 8, sparsity=0.1, seed=1)
+    indented.write_text(json.dumps(small.to_json(), indent=2))
+    indented_bytes = indented.stat().st_size
+    assert indented_bytes > 2 * (small.transitions.nbytes + small.rewards.nbytes)
     peaks = {}
     tracemalloc.start()
     try:
         mdp = random_mdp(n_s, n_a, horizon, sparsity=0.1, seed=0)
         peaks["random_mdp"] = tracemalloc.get_traced_memory()[1]
         for name, op in (("save", lambda: mdp.save(path)),
-                         ("load", lambda: FiniteHorizonMdp.load(path))):
+                         ("load", lambda: FiniteHorizonMdp.load(path)),
+                         ("load indented", lambda: FiniteHorizonMdp.load(indented))):
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
             op()
@@ -249,7 +307,41 @@ def test_file_io_memory_is_one_step_and_construction_copies_nothing(tmp_path):
         tracemalloc.stop()
     assert peaks["random_mdp"] < 1.5 * table_bytes
     assert peaks["save"] < 0.25 * table_bytes
-    assert peaks["load"] < 3 * table_bytes
+    assert peaks["load"] < 1.25 * table_bytes
+    assert peaks["load indented"] < indented_bytes
+
+
+def test_load_allocates_its_first_table_before_it_reads_a_window(tmp_path, monkeypatch):
+    # A window read first can take part of the free heap block that the table
+    # would fit in; on sweep-io, peak_rss_mb then read 135 instead of 120 MB.
+    path = tmp_path / "m.json"
+    random_mdp(40, 5, 8, sparsity=0.1, seed=0).save(path)
+    events, real_empty = [], np.empty
+
+    class RecordedFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def fileno(self):
+            return self.fh.fileno()
+
+        def read(self, n):
+            events.append(n)
+            return self.fh.read(n)
+
+    monkeypatch.setattr(mdp_module, "open", lambda p: RecordedFile(open(p)), raising=False)
+    monkeypatch.setattr(np, "empty", lambda shape: events.append(shape) or real_empty(shape))
+    FiniteHorizonMdp.load(path)
+    first_table = next(i for i, event in enumerate(events) if isinstance(event, tuple))
+    assert events[first_table] == (8, 40, 5, 40)
+    later_reads = [n for n in events[first_table:] if isinstance(n, int)]
+    assert sum(events[:first_table]) < mdp_module._WINDOW / 2 <= max(later_reads)
 
 
 def test_public_constructor_copies_and_built_tables_are_read_only(tmp_path):
